@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout lint bench bench-smoke clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -99,6 +99,13 @@ test-rollout:
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) \
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_rollout.py \
 		tests/test_envelope_rollout.py -q
+
+# Regenerate the golden pins under tests/golden/ (fault timelines,
+# callbacks, validations and faults-scenario output hashes at seeds
+# 1, 2 and 7). tests/test_golden_faults.py only reads them, so any
+# behaviour change shows up as a reviewable diff of the JSON.
+golden:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/golden/faults_pins.py
 
 lint:
 	ruff check src tests benchmarks
