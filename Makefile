@@ -49,10 +49,10 @@ test-emergency:
 		tests/test_heatwave_ride_through.py -q
 
 # Power suite: the delivery tree and breaker curves, the budget
-# arbiter invariants (conservation, monotonicity), the vectorized
-# rollup equivalence, and the oversubscription-crisis acceptance
-# contract (naive trips the row breaker, arbitrated survives with zero
-# trips; signatures bit-identical) over the REPRO_CHAOS_SEEDS matrix.
+# arbiter invariants (conservation, monotonicity), and the
+# oversubscription-crisis acceptance contract (naive trips the row
+# breaker, arbitrated survives with zero trips; signatures
+# bit-identical) over the REPRO_CHAOS_SEEDS matrix.
 test-power:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" \
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) \
@@ -114,15 +114,12 @@ bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q --benchmark-only
 
 # Perf microbenchmarks that finish in well under 30 s: the sweep
-# engine on a tiny grid (serial == parallel == cached output), the
-# vectorized power-budget enforcement at 1k/10k/100k hosts (emits
-# BENCH_power.json at the repo root), the scalar-vs-vector fleet
-# rollup race (emits BENCH_fleet.json), and the health changepoint
-# detectors (CUSUM vs EWMA throughput; emits BENCH_health.json).
+# engine on a tiny grid (serial == parallel == cached output) and the
+# health changepoint detectors (CUSUM vs EWMA throughput; emits
+# BENCH_health.json). The end-to-end benchmark is `python3 bench/run.py`.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
-		benchmarks/test_perf_engine.py benchmarks/test_perf_power.py \
-		benchmarks/test_perf_fleet.py benchmarks/test_perf_health.py \
+		benchmarks/test_perf_engine.py benchmarks/test_perf_health.py \
 		-q -m perf
 
 clean-cache:

@@ -10,22 +10,25 @@ random streams (seeded from the plan, one stream per spec), so the
 injected chaos never perturbs — and is never perturbed by — the model's
 random draws.
 
-The injectors deliberately act through callbacks (``on_crash``,
-``on_failure``, ...) rather than poking model internals: the same
-campaign drives a bare :class:`~repro.cluster.lifecycle.VMLifecycleManager`
-in a unit test and a full closed-loop auto-scaler in an experiment.
+Every kind shares one lifecycle, :meth:`FaultInjector.schedule`; a kind
+only validates its specs, applies its effect (returning the timeline
+detail and an optional undo) and runs its callbacks. The injectors act
+through callbacks (``on_crash``, ``on_failure``, ...) rather than poking
+model internals: the same campaign drives a bare
+:class:`~repro.cluster.lifecycle.VMLifecycleManager` in a unit test and
+a full closed-loop auto-scaler in an experiment.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..cluster.power_delivery import PowerNode
 from ..control.channel import LossyChannel
 from ..errors import FaultError, InjectionError
 from ..power.predictor import PeakPowerPredictor
-from ..reliability.stability import DEFAULT_ERRORS_PER_CRASH, StabilityModel
+from ..reliability.stability import StabilityModel
 from ..sim.kernel import Simulator
 from ..sim.random import RandomStreams
 from ..telemetry.sensors import FaultySensor, SensorFault, SensorFaultMode
@@ -49,13 +52,78 @@ BREAKER_BREACH = "breaker-breach"
 RECOVERED = "recovered"
 
 
+class _Effect(NamedTuple):
+    """What :meth:`FaultInjector.inject` did to its target."""
+
+    #: Detail of the fault's timeline record.
+    detail: str
+    #: Reverts the effect and returns the ``recovered`` record's detail;
+    #: run ``duration_s`` after the fault. None: the fault never clears.
+    undo: Callable[[], str] | None = None
+    #: A derived ``(kind, detail)`` record logged right after the fault.
+    alarm: tuple[str, str] | None = None
+
+
 class FaultInjector:
-    """Base class: schedules one kind of fault into a campaign."""
+    """Base class: the fault lifecycle every kind shares.
+
+    :meth:`schedule` arms one spec: it validates the spec, resolves its
+    target and samples its delay. When the fault fires it applies the
+    kind's effect (:meth:`inject`), records the fault and any alarm the
+    effect raised, and runs :meth:`fired`. When ``duration_s > 0`` and
+    the effect returned an undo, it schedules the undo, records
+    ``recovered`` with the undo's detail, and runs :meth:`recovered`.
+    """
 
     kind: FaultKind
+    #: Spec target → the object :meth:`inject` acts on; None passes the
+    #: target name through unchecked.
+    targets: Mapping[str, object] | None = None
+    #: Rate for sampled specs that carry none (None: they must).
+    derived_rate_per_hour: float | None = None
+
+    def validate(self, spec: FaultSpec) -> None:
+        """Reject a malformed spec (runs at arm time)."""
+
+    def inject(self, spec: FaultSpec, target) -> _Effect:
+        """Apply the fault to ``target``, the resolved spec target."""
+        raise NotImplementedError
+
+    def fired(self, spec: FaultSpec, target) -> None:
+        """Callback hook: runs right after the fault is recorded."""
+
+    def recovered(self, spec: FaultSpec) -> None:
+        """Callback hook: runs right after ``recovered`` is recorded."""
 
     def schedule(self, campaign: "FaultCampaign", index: int, spec: FaultSpec) -> None:
-        raise NotImplementedError
+        """Arm ``spec`` (the plan's ``index``-th) into ``campaign``."""
+        self.validate(spec)
+        target = spec.target
+        if self.targets is not None:
+            target = _lookup(self.targets, spec.target, self.kind)  # fail fast at arm time
+        delay = campaign.delay_for(index, spec, self.derived_rate_per_hour)
+        if delay is None:
+            return
+        name = f"fault:{spec.kind.value}:{spec.target}"
+
+        def fire() -> None:
+            effect = self.inject(spec, target)
+            now = campaign.simulator.now
+            campaign.timeline.record(now, spec.kind.value, spec.target, effect.detail)
+            if effect.alarm is not None:
+                campaign.timeline.record(now, effect.alarm[0], spec.target, effect.alarm[1])
+            self.fired(spec, target)
+            if spec.duration_s > 0 and effect.undo is not None:
+
+                def recover() -> None:
+                    campaign.timeline.record(
+                        campaign.simulator.now, RECOVERED, spec.target, effect.undo()
+                    )
+                    self.recovered(spec)
+
+                campaign.simulator.after(spec.duration_s, recover, name=f"{name}:recover")
+
+        campaign.simulator.after(delay, fire, name=name)
 
 
 class FaultCampaign:
@@ -138,52 +206,41 @@ def _lookup(mapping: Mapping[str, object], target: str, kind: FaultKind):
     )
 
 
+#: Overclock ratio the crash injector derives its fallback rate at.
+_STOCK_RATIO = 1.0
+
+
 class VMCrashInjector(FaultInjector):
     """Overclock-induced VM crashes, sampled from the stability model.
 
-    The crash *rate* comes from
+    The fallback crash *rate* for sampled specs without one comes from
     :meth:`~repro.reliability.stability.StabilityModel.crash_rate_per_hour`
-    at the given overclock ratio, so pushing the ratio past the stable
-    margin makes injected crashes exponentially more frequent — the
-    paper's "ungraceful crashes under excess voltage/frequency" made
+    at stock clocks; specs at a given overclock take the model's rate at
+    their ratio as ``rate_per_hour``, so pushing the ratio past the
+    stable margin makes injected crashes exponentially more frequent —
+    the paper's "ungraceful crashes under excess voltage/frequency" made
     executable.
     """
 
     kind = FaultKind.VM_CRASH
 
     def __init__(
-        self,
-        on_crash: Callable[[str], None],
-        stability: StabilityModel | None = None,
-        overclock_ratio: float = 1.0,
-        errors_per_crash: float = DEFAULT_ERRORS_PER_CRASH,
+        self, on_crash: Callable[[str], None], stability: StabilityModel | None = None
     ) -> None:
         self.on_crash = on_crash
-        self.stability = stability if stability is not None else StabilityModel()
-        self.overclock_ratio = overclock_ratio
-        self.errors_per_crash = errors_per_crash
+        stability = stability if stability is not None else StabilityModel()
+        self.derived_rate_per_hour = stability.crash_rate_per_hour(_STOCK_RATIO)
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        derived = self.stability.crash_rate_per_hour(
-            self.overclock_ratio, self.errors_per_crash
-        )
-        delay = campaign.delay_for(index, spec, derived_rate_per_hour=derived)
-        if delay is None:
-            return
-        effective = spec.rate_per_hour if spec.rate_per_hour is not None else derived
-        detail = (
-            f"rate={effective:.2e}/h"
-            if spec.at_s is None
-            else f"ratio={self.overclock_ratio:.3f}"
-        )
+    def inject(self, spec: FaultSpec, target: str) -> _Effect:
+        if spec.at_s is not None:
+            return _Effect(f"ratio={_STOCK_RATIO:.3f}")
+        rate = spec.rate_per_hour
+        if rate is None:
+            rate = self.derived_rate_per_hour
+        return _Effect(f"rate={rate:.2e}/h")
 
-        def fire() -> None:
-            campaign.timeline.record(
-                campaign.simulator.now, spec.kind.value, spec.target, detail
-            )
-            self.on_crash(spec.target)
-
-        campaign.simulator.after(delay, fire, name=f"fault:vm-crash:{spec.target}")
+    def fired(self, spec: FaultSpec, target: str) -> None:
+        self.on_crash(spec.target)
 
 
 class HostFailureInjector(FaultInjector):
@@ -194,18 +251,11 @@ class HostFailureInjector(FaultInjector):
     def __init__(self, on_failure: Callable[[str], None]) -> None:
         self.on_failure = on_failure
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
+    def inject(self, spec: FaultSpec, target: str) -> _Effect:
+        return _Effect("")
 
-        def fire() -> None:
-            campaign.timeline.record(
-                campaign.simulator.now, spec.kind.value, spec.target
-            )
-            self.on_failure(spec.target)
-
-        campaign.simulator.after(delay, fire, name=f"fault:host:{spec.target}")
+    def fired(self, spec: FaultSpec, target: str) -> None:
+        self.on_failure(spec.target)
 
 
 class ThermalExcursionInjector(FaultInjector):
@@ -222,68 +272,34 @@ class ThermalExcursionInjector(FaultInjector):
     kind = FaultKind.THERMAL_EXCURSION
 
     def __init__(
-        self,
-        junctions: Mapping[str, JunctionModel],
-        load_watts: Callable[[str], float],
-        on_excursion: Callable[[str, float], None] | None = None,
-        on_recover: Callable[[str, float], None] | None = None,
+        self, junctions: Mapping[str, JunctionModel], load_watts: Callable[[str], float]
     ) -> None:
-        self.junctions = dict(junctions)
+        self.targets = dict(junctions)
         self.load_watts = load_watts
-        self.on_excursion = on_excursion
-        self.on_recover = on_recover
 
     def elevated_model(self, target: str, delta_c: float) -> JunctionModel:
-        base = _lookup(self.junctions, target, self.kind)
+        base = _lookup(self.targets, target, self.kind)
         return JunctionModel(
             reference_temp_c=base.reference_temp_c + delta_c,
             thermal_resistance_c_per_w=base.thermal_resistance_c_per_w,
             tj_max_c=base.tj_max_c,
         )
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if spec.magnitude <= 0:
             raise InjectionError("thermal excursion needs a positive magnitude (°C)")
-        _lookup(self.junctions, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
 
-        def fire() -> None:
-            now = campaign.simulator.now
-            elevated = self.elevated_model(spec.target, spec.magnitude)
-            power = self.load_watts(spec.target)
-            tj = elevated.junction_temp_c(power)
-            campaign.timeline.record(
-                now,
-                spec.kind.value,
-                spec.target,
-                f"dT=+{spec.magnitude:.1f}C Tj={tj:.1f}C",
-            )
-            if tj > elevated.tj_max_c:
-                campaign.timeline.record(
-                    now,
-                    TJ_ALARM,
-                    spec.target,
-                    f"Tj={tj:.1f}C > Tjmax={elevated.tj_max_c:.1f}C",
-                )
-            if self.on_excursion is not None:
-                self.on_excursion(spec.target, spec.magnitude)
-            if spec.duration_s > 0:
-
-                def recover() -> None:
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, spec.target,
-                        f"dT=-{spec.magnitude:.1f}C",
-                    )
-                    if self.on_recover is not None:
-                        self.on_recover(spec.target, spec.magnitude)
-
-                campaign.simulator.after(
-                    spec.duration_s, recover, name=f"fault:thermal-recover:{spec.target}"
-                )
-
-        campaign.simulator.after(delay, fire, name=f"fault:thermal:{spec.target}")
+    def inject(self, spec: FaultSpec, target: JunctionModel) -> _Effect:
+        elevated = self.elevated_model(spec.target, spec.magnitude)
+        tj = elevated.junction_temp_c(self.load_watts(spec.target))
+        alarm = None
+        if tj > elevated.tj_max_c:
+            alarm = (TJ_ALARM, f"Tj={tj:.1f}C > Tjmax={elevated.tj_max_c:.1f}C")
+        return _Effect(
+            f"dT=+{spec.magnitude:.1f}C Tj={tj:.1f}C",
+            lambda: f"dT=-{spec.magnitude:.1f}C",
+            alarm,
+        )
 
 
 class PowerTripInjector(FaultInjector):
@@ -302,57 +318,35 @@ class PowerTripInjector(FaultInjector):
         nodes: Mapping[str, PowerNode],
         utilization: float = 1.0,
         on_trip: Callable[[PowerNode], None] | None = None,
-        on_restore: Callable[[PowerNode], None] | None = None,
     ) -> None:
-        self.nodes = dict(nodes)
+        self.targets = dict(nodes)
         self.utilization = utilization
         self.on_trip = on_trip
-        self.on_restore = on_restore
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if not 0.0 < spec.magnitude < 1.0:
             raise InjectionError(
                 "power trip magnitude is the fraction of the limit lost; "
                 f"need 0 < m < 1, got {spec.magnitude}"
             )
-        _lookup(self.nodes, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
 
-        def fire() -> None:
-            node = _lookup(self.nodes, spec.target, self.kind)
-            now = campaign.simulator.now
-            lost = node.limit_watts * spec.magnitude
-            node.limit_watts -= lost
-            campaign.timeline.record(
-                now, spec.kind.value, spec.target,
-                f"-{lost:.0f}W limit={node.limit_watts:.0f}W",
-            )
-            draw = node.draw_watts(self.utilization)
-            if draw > node.limit_watts:
-                campaign.timeline.record(
-                    now, BREAKER_BREACH, spec.target,
-                    f"draw={draw:.0f}W > limit={node.limit_watts:.0f}W",
-                )
-            if self.on_trip is not None:
-                self.on_trip(node)
-            if spec.duration_s > 0:
+    def inject(self, spec: FaultSpec, node: PowerNode) -> _Effect:
+        lost = node.limit_watts * spec.magnitude
+        node.limit_watts -= lost
+        draw = node.draw_watts(self.utilization)
+        alarm = None
+        if draw > node.limit_watts:
+            alarm = (BREAKER_BREACH, f"draw={draw:.0f}W > limit={node.limit_watts:.0f}W")
 
-                def restore() -> None:
-                    node.limit_watts += lost
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, spec.target,
-                        f"+{lost:.0f}W limit={node.limit_watts:.0f}W",
-                    )
-                    if self.on_restore is not None:
-                        self.on_restore(node)
+        def undo() -> str:
+            node.limit_watts += lost
+            return f"+{lost:.0f}W limit={node.limit_watts:.0f}W"
 
-                campaign.simulator.after(
-                    spec.duration_s, restore, name=f"fault:power-restore:{spec.target}"
-                )
+        return _Effect(f"-{lost:.0f}W limit={node.limit_watts:.0f}W", undo, alarm)
 
-        campaign.simulator.after(delay, fire, name=f"fault:power-trip:{spec.target}")
+    def fired(self, spec: FaultSpec, node: PowerNode) -> None:
+        if self.on_trip is not None:
+            self.on_trip(node)
 
 
 #: FaultKind → transform applied by :class:`SensorFaultInjector`.
@@ -377,54 +371,28 @@ class SensorFaultInjector(FaultInjector):
     spike amplitude, or lag depth in samples.
     """
 
-    def __init__(
-        self,
-        kind: FaultKind,
-        sensors: Mapping[str, FaultySensor],
-        on_fault: Callable[[str, SensorFault], None] | None = None,
-        on_clear: Callable[[str], None] | None = None,
-    ) -> None:
+    def __init__(self, kind: FaultKind, sensors: Mapping[str, FaultySensor]) -> None:
         if kind not in SENSOR_FAULT_KINDS:
             raise InjectionError(f"{kind.value} is not a sensor-fault kind")
         self.kind = kind
-        self.sensors = dict(sensors)
-        self.on_fault = on_fault
-        self.on_clear = on_clear
+        self.targets = dict(sensors)
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        _lookup(self.sensors, spec.target, self.kind)  # fail fast at arm time
-        mode = _SENSOR_MODE_BY_KIND[self.kind]
-        fault = SensorFault(mode=mode, magnitude=spec.magnitude)  # validate early
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
+    def _fault(self, spec: FaultSpec) -> SensorFault:
+        return SensorFault(mode=_SENSOR_MODE_BY_KIND[self.kind], magnitude=spec.magnitude)
 
-        def fire() -> None:
-            sensor = _lookup(self.sensors, spec.target, self.kind)
-            sensor.inject(fault)
-            detail = (
-                f"magnitude={spec.magnitude:g}" if spec.magnitude else mode.value
-            )
-            campaign.timeline.record(
-                campaign.simulator.now, spec.kind.value, spec.target, detail
-            )
-            if self.on_fault is not None:
-                self.on_fault(spec.target, fault)
-            if spec.duration_s > 0:
+    def validate(self, spec: FaultSpec) -> None:
+        self._fault(spec)
 
-                def clear() -> None:
-                    sensor.clear()
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, spec.target, mode.value
-                    )
-                    if self.on_clear is not None:
-                        self.on_clear(spec.target)
+    def inject(self, spec: FaultSpec, sensor: FaultySensor) -> _Effect:
+        fault = self._fault(spec)
+        sensor.inject(fault)
 
-                campaign.simulator.after(
-                    spec.duration_s, clear, name=f"fault:sensor-clear:{spec.target}"
-                )
+        def undo() -> str:
+            sensor.clear()
+            return fault.mode.value
 
-        campaign.simulator.after(delay, fire, name=f"fault:sensor:{spec.target}")
+        detail = f"magnitude={spec.magnitude:g}" if spec.magnitude else fault.mode.value
+        return _Effect(detail, undo)
 
 
 class ChannelFaultInjector(FaultInjector):
@@ -442,21 +410,13 @@ class ChannelFaultInjector(FaultInjector):
     (``duration_s == 0`` partitions until something calls ``heal``).
     """
 
-    def __init__(
-        self,
-        kind: FaultKind,
-        channels: Mapping[str, LossyChannel],
-        on_fault: Callable[[str, FaultSpec], None] | None = None,
-        on_clear: Callable[[str], None] | None = None,
-    ) -> None:
+    def __init__(self, kind: FaultKind, channels: Mapping[str, LossyChannel]) -> None:
         if kind not in CHANNEL_FAULT_KINDS:
             raise InjectionError(f"{kind.value} is not a control-plane fault kind")
         self.kind = kind
-        self.channels = dict(channels)
-        self.on_fault = on_fault
-        self.on_clear = on_clear
+        self.targets = dict(channels)
 
-    def _validate(self, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if self.kind is FaultKind.CMD_DROP and not 0.0 < spec.magnitude <= 1.0:
             raise InjectionError("cmd-drop magnitude is a probability in (0, 1]")
         if self.kind is FaultKind.CMD_DUPLICATE and not 0.0 < spec.magnitude < 1.0:
@@ -464,71 +424,32 @@ class ChannelFaultInjector(FaultInjector):
         if self.kind is FaultKind.CMD_DELAY and spec.magnitude <= 0.0:
             raise InjectionError("cmd-delay magnitude is a positive delay in seconds")
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        self._validate(spec)
-        _lookup(self.channels, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
+    def inject(self, spec: FaultSpec, channel: LossyChannel) -> _Effect:
+        target, magnitude = spec.target, spec.magnitude
+        if self.kind is FaultKind.CMD_PARTITION:
+            duration = spec.duration_s if spec.duration_s > 0 else None
+            channel.partition(target, duration)
+            detail = f"for {spec.duration_s:.0f}s" if duration is not None else "until healed"
+            # The channel expires partitions lazily; the undo only records
+            # the heal so timelines carry the full fault window.
+            return _Effect(detail, lambda: "partition healed")
+        if self.kind is FaultKind.CMD_DROP:
+            # p=1 is allowed (a total blackhole) even though baseline
+            # channel configs cap below 1 — that is the fault's point.
+            channel.set_drop(target, magnitude)
+            detail, clear = f"p={magnitude:g}", channel.clear_drop
+        elif self.kind is FaultKind.CMD_DUPLICATE:
+            channel.set_duplicate(target, magnitude)
+            detail, clear = f"p={magnitude:g}", channel.clear_duplicate
+        else:  # CMD_DELAY
+            channel.set_extra_delay(target, magnitude)
+            detail, clear = f"+{magnitude:g}s", channel.clear_extra_delay
 
-        def fire() -> None:
-            channel = _lookup(self.channels, spec.target, self.kind)
-            now = campaign.simulator.now
-            target = spec.target
-            if self.kind is FaultKind.CMD_PARTITION:
-                duration = spec.duration_s if spec.duration_s > 0 else None
-                channel.partition(target, duration)
-                detail = (
-                    f"for {spec.duration_s:.0f}s" if duration is not None else "until healed"
-                )
-            elif self.kind is FaultKind.CMD_DROP:
-                # p=1 is allowed (a total blackhole) even though baseline
-                # channel configs cap below 1 — that is the fault's point.
-                channel.set_drop(target, spec.magnitude)
-                detail = f"p={spec.magnitude:g}"
-            elif self.kind is FaultKind.CMD_DUPLICATE:
-                channel.set_duplicate(target, spec.magnitude)
-                detail = f"p={spec.magnitude:g}"
-            else:  # CMD_DELAY
-                channel.set_extra_delay(target, spec.magnitude)
-                detail = f"+{spec.magnitude:g}s"
-            campaign.timeline.record(now, spec.kind.value, target, detail)
-            if self.on_fault is not None:
-                self.on_fault(target, spec)
-            if spec.duration_s > 0 and self.kind is not FaultKind.CMD_PARTITION:
+        def undo() -> str:
+            clear(target)
+            return self.kind.value
 
-                def clear() -> None:
-                    if self.kind is FaultKind.CMD_DROP:
-                        channel.clear_drop(target)
-                    elif self.kind is FaultKind.CMD_DUPLICATE:
-                        channel.clear_duplicate(target)
-                    else:
-                        channel.clear_extra_delay(target)
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, target, self.kind.value
-                    )
-                    if self.on_clear is not None:
-                        self.on_clear(target)
-
-                campaign.simulator.after(
-                    spec.duration_s, clear, name=f"fault:cmd-clear:{target}"
-                )
-            elif spec.duration_s > 0:
-                # The channel expires partitions lazily; record the heal
-                # eagerly so timelines carry the full fault window.
-
-                def healed() -> None:
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, target, "partition healed"
-                    )
-                    if self.on_clear is not None:
-                        self.on_clear(target)
-
-                campaign.simulator.after(
-                    spec.duration_s, healed, name=f"fault:cmd-heal:{target}"
-                )
-
-        campaign.simulator.after(delay, fire, name=f"fault:cmd:{spec.target}")
+        return _Effect(detail, undo)
 
 
 #: FaultKind → the :class:`~repro.thermal.facility.FacilityState` field
@@ -555,21 +476,13 @@ class FacilityFaultInjector(FaultInjector):
     sharing the tank at once.
     """
 
-    def __init__(
-        self,
-        kind: FaultKind,
-        facilities: Mapping[str, FacilityState],
-        on_fault: Callable[[str, FaultSpec], None] | None = None,
-        on_clear: Callable[[str], None] | None = None,
-    ) -> None:
+    def __init__(self, kind: FaultKind, facilities: Mapping[str, FacilityState]) -> None:
         if kind not in FACILITY_FAULT_KINDS:
             raise InjectionError(f"{kind.value} is not a facility fault kind")
         self.kind = kind
-        self.facilities = dict(facilities)
-        self.on_fault = on_fault
-        self.on_clear = on_clear
+        self.targets = dict(facilities)
 
-    def _validate(self, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if self.kind is FaultKind.FACILITY_HEATWAVE:
             if spec.magnitude <= 0.0:
                 raise InjectionError(
@@ -581,59 +494,29 @@ class FacilityFaultInjector(FaultInjector):
                 f"lost; need 0 < m <= 1, got {spec.magnitude}"
             )
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        self._validate(spec)
-        _lookup(self.facilities, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
+    def inject(self, spec: FaultSpec, state: FacilityState) -> _Effect:
+        if self.kind is FaultKind.FACILITY_HEATWAVE:
+            state.ambient_extra_c += spec.magnitude
 
-        def fire() -> None:
-            state = _lookup(self.facilities, spec.target, self.kind)
-            now = campaign.simulator.now
-            if self.kind is FaultKind.FACILITY_HEATWAVE:
-                state.ambient_extra_c += spec.magnitude
+            def revert() -> None:
+                state.ambient_extra_c -= spec.magnitude
 
-                def undo() -> None:
-                    state.ambient_extra_c -= spec.magnitude
+            detail = f"+{spec.magnitude:g}C ambient={state.ambient_c:.1f}C"
+        else:
+            field = _FACILITY_FIELD_BY_KIND[self.kind]
+            lost = getattr(state, field) * spec.magnitude
+            setattr(state, field, getattr(state, field) - lost)
 
-                detail = (
-                    f"+{spec.magnitude:g}C ambient={state.ambient_c:.1f}C "
-                    f"cond={state.condenser_fraction():.3f}"
-                )
-            else:
-                field = _FACILITY_FIELD_BY_KIND[self.kind]
-                lost = getattr(state, field) * spec.magnitude
-                setattr(state, field, getattr(state, field) - lost)
+            def revert() -> None:
+                setattr(state, field, getattr(state, field) + lost)
 
-                def undo() -> None:
-                    setattr(state, field, getattr(state, field) + lost)
+            detail = f"-{spec.magnitude:g} {field}={getattr(state, field):.3f}"
 
-                detail = (
-                    f"-{spec.magnitude:g} {field}={getattr(state, field):.3f} "
-                    f"cond={state.condenser_fraction():.3f}"
-                )
-            campaign.timeline.record(now, spec.kind.value, spec.target, detail)
-            if self.on_fault is not None:
-                self.on_fault(spec.target, spec)
-            if spec.duration_s > 0:
+        def undo() -> str:
+            revert()
+            return f"{self.kind.value} cond={state.condenser_fraction():.3f}"
 
-                def clear() -> None:
-                    undo()
-                    campaign.timeline.record(
-                        campaign.simulator.now,
-                        RECOVERED,
-                        spec.target,
-                        f"{self.kind.value} cond={state.condenser_fraction():.3f}",
-                    )
-                    if self.on_clear is not None:
-                        self.on_clear(spec.target)
-
-                campaign.simulator.after(
-                    spec.duration_s, clear, name=f"fault:facility-clear:{spec.target}"
-                )
-
-        campaign.simulator.after(delay, fire, name=f"fault:facility:{spec.target}")
+        return _Effect(f"{detail} cond={state.condenser_fraction():.3f}", undo)
 
 
 class PowerPredictionFaultInjector(FaultInjector):
@@ -650,58 +533,24 @@ class PowerPredictionFaultInjector(FaultInjector):
 
     kind = FaultKind.POWER_UNDERPREDICTION
 
-    def __init__(
-        self,
-        predictors: Mapping[str, PeakPowerPredictor],
-        on_fault: Callable[[str, FaultSpec], None] | None = None,
-        on_clear: Callable[[str], None] | None = None,
-    ) -> None:
-        self.predictors = dict(predictors)
-        self.on_fault = on_fault
-        self.on_clear = on_clear
+    def __init__(self, predictors: Mapping[str, PeakPowerPredictor]) -> None:
+        self.targets = dict(predictors)
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if not 0.0 < spec.magnitude < 1.0:
             raise InjectionError(
                 "power-underprediction magnitude is the fraction predictions "
                 f"shrink by; need 0 < m < 1, got {spec.magnitude}"
             )
-        _lookup(self.predictors, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
 
-        def fire() -> None:
-            predictor = _lookup(self.predictors, spec.target, self.kind)
-            predictor.inject_bias(spec.magnitude)
-            campaign.timeline.record(
-                campaign.simulator.now,
-                spec.kind.value,
-                spec.target,
-                f"bias={spec.magnitude:g}",
-            )
-            if self.on_fault is not None:
-                self.on_fault(spec.target, spec)
-            if spec.duration_s > 0:
+    def inject(self, spec: FaultSpec, predictor: PeakPowerPredictor) -> _Effect:
+        predictor.inject_bias(spec.magnitude)
 
-                def clear() -> None:
-                    predictor.clear_bias()
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, spec.target,
-                        "prediction bias cleared",
-                    )
-                    if self.on_clear is not None:
-                        self.on_clear(spec.target)
+        def undo() -> str:
+            predictor.clear_bias()
+            return "prediction bias cleared"
 
-                campaign.simulator.after(
-                    spec.duration_s,
-                    clear,
-                    name=f"fault:power-predict-clear:{spec.target}",
-                )
-
-        campaign.simulator.after(
-            delay, fire, name=f"fault:power-predict:{spec.target}"
-        )
+        return _Effect(f"bias={spec.magnitude:g}", undo)
 
 
 class PowerSurgeInjector(FaultInjector):
@@ -727,39 +576,19 @@ class PowerSurgeInjector(FaultInjector):
         self.on_end = on_end
         self.targets = dict(targets) if targets is not None else None
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if spec.magnitude <= 0.0:
             raise InjectionError(
                 "power-surge magnitude is a positive fractional draw increase"
             )
-        if self.targets is not None:
-            _lookup(self.targets, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
 
-        def fire() -> None:
-            self.on_surge(spec.target, spec.magnitude)
-            campaign.timeline.record(
-                campaign.simulator.now,
-                spec.kind.value,
-                spec.target,
-                f"+{spec.magnitude:g}x draw",
-            )
-            if spec.duration_s > 0:
+    def inject(self, spec: FaultSpec, target: object) -> _Effect:
+        self.on_surge(spec.target, spec.magnitude)
+        return _Effect(f"+{spec.magnitude:g}x draw", lambda: "surge ended")
 
-                def end() -> None:
-                    campaign.timeline.record(
-                        campaign.simulator.now, RECOVERED, spec.target, "surge ended"
-                    )
-                    if self.on_end is not None:
-                        self.on_end(spec.target)
-
-                campaign.simulator.after(
-                    spec.duration_s, end, name=f"fault:power-surge-end:{spec.target}"
-                )
-
-        campaign.simulator.after(delay, fire, name=f"fault:power-surge:{spec.target}")
+    def recovered(self, spec: FaultSpec) -> None:
+        if self.on_end is not None:
+            self.on_end(spec.target)
 
 
 class SiliconHealthInjector(FaultInjector):
@@ -788,7 +617,6 @@ class SiliconHealthInjector(FaultInjector):
         on_drift: Callable[[str, float], None] | None = None,
         on_burst: Callable[[str, int], None] | None = None,
         on_sdc: Callable[[str], None] | None = None,
-        targets: Mapping[str, object] | None = None,
     ) -> None:
         if kind not in HEALTH_FAULT_KINDS:
             raise InjectionError(f"{kind.value} is not a silicon-health fault kind")
@@ -796,9 +624,8 @@ class SiliconHealthInjector(FaultInjector):
         self.on_drift = on_drift
         self.on_burst = on_burst
         self.on_sdc = on_sdc
-        self.targets = dict(targets) if targets is not None else None
 
-    def _validate(self, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if self.kind is FaultKind.SILICON_MARGIN_DRIFT:
             if spec.magnitude <= 0.0:
                 raise InjectionError(
@@ -814,31 +641,16 @@ class SiliconHealthInjector(FaultInjector):
         elif self.on_sdc is None:
             raise InjectionError("sdc needs an on_sdc callback")
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        self._validate(spec)
-        if self.targets is not None:
-            _lookup(self.targets, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
-
-        def fire() -> None:
-            now = campaign.simulator.now
-            if self.kind is FaultKind.SILICON_MARGIN_DRIFT:
-                self.on_drift(spec.target, spec.magnitude)
-                detail = f"-{spec.magnitude:g} stable margin"
-            elif self.kind is FaultKind.MCE_BURST:
-                count = int(round(spec.magnitude))
-                self.on_burst(spec.target, count)
-                detail = f"{count} spurious CEs"
-            else:
-                self.on_sdc(spec.target)
-                detail = "forced silent corruption"
-            campaign.timeline.record(now, spec.kind.value, spec.target, detail)
-
-        campaign.simulator.after(
-            delay, fire, name=f"fault:{self.kind.value}:{spec.target}"
-        )
+    def inject(self, spec: FaultSpec, target: str) -> _Effect:
+        if self.kind is FaultKind.SILICON_MARGIN_DRIFT:
+            self.on_drift(spec.target, spec.magnitude)
+            return _Effect(f"-{spec.magnitude:g} stable margin")
+        if self.kind is FaultKind.MCE_BURST:
+            count = int(round(spec.magnitude))
+            self.on_burst(spec.target, count)
+            return _Effect(f"{count} spurious CEs")
+        self.on_sdc(spec.target)
+        return _Effect("forced silent corruption")
 
 
 class RolloutFaultInjector(FaultInjector):
@@ -867,16 +679,14 @@ class RolloutFaultInjector(FaultInjector):
         kind: FaultKind,
         on_bad_envelope: Callable[[str, float], None] | None = None,
         on_stall: Callable[[str, float], None] | None = None,
-        targets: Mapping[str, object] | None = None,
     ) -> None:
         if kind not in ROLLOUT_FAULT_KINDS:
             raise InjectionError(f"{kind.value} is not a rollout fault kind")
         self.kind = kind
         self.on_bad_envelope = on_bad_envelope
         self.on_stall = on_stall
-        self.targets = dict(targets) if targets is not None else None
 
-    def _validate(self, spec: FaultSpec) -> None:
+    def validate(self, spec: FaultSpec) -> None:
         if self.kind is FaultKind.BAD_ENVELOPE:
             if spec.magnitude <= 0.0:
                 raise InjectionError(
@@ -890,46 +700,39 @@ class RolloutFaultInjector(FaultInjector):
             if self.on_stall is None:
                 raise InjectionError("rollout-stall needs an on_stall callback")
 
-    def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
-        self._validate(spec)
-        if self.targets is not None:
-            _lookup(self.targets, spec.target, self.kind)  # fail fast at arm time
-        delay = campaign.delay_for(index, spec)
-        if delay is None:
-            return
+    def inject(self, spec: FaultSpec, target: str) -> _Effect:
+        # A stall is over when its push confirms; it records no recovery.
+        if self.kind is FaultKind.BAD_ENVELOPE:
+            self.on_bad_envelope(spec.target, spec.magnitude)
+            return _Effect(f"+{spec.magnitude:g} over the stable envelope")
+        self.on_stall(spec.target, spec.duration_s)
+        return _Effect(f"push wedged for {spec.duration_s:g}s")
 
-        def fire() -> None:
-            now = campaign.simulator.now
-            if self.kind is FaultKind.BAD_ENVELOPE:
-                self.on_bad_envelope(spec.target, spec.magnitude)
-                detail = f"+{spec.magnitude:g} over the stable envelope"
-            else:
-                self.on_stall(spec.target, spec.duration_s)
-                detail = f"push wedged for {spec.duration_s:g}s"
-            campaign.timeline.record(now, spec.kind.value, spec.target, detail)
 
-        campaign.simulator.after(
-            delay, fire, name=f"fault:{self.kind.value}:{spec.target}"
-        )
+def _register_each(
+    campaign: FaultCampaign,
+    kinds: frozenset[FaultKind],
+    build: Callable[[FaultKind], FaultInjector],
+) -> FaultCampaign:
+    """Register ``build(kind)`` for each of ``kinds``, in value order."""
+    for kind in sorted(kinds, key=lambda k: k.value):
+        campaign.register(build(kind))
+    return campaign
 
 
 def register_rollout_injectors(
     campaign: FaultCampaign,
     on_bad_envelope: Callable[[str, float], None],
     on_stall: Callable[[str, float], None],
-    targets: Mapping[str, object] | None = None,
 ) -> FaultCampaign:
     """Register one :class:`RolloutFaultInjector` per rollout kind."""
-    for kind in sorted(ROLLOUT_FAULT_KINDS, key=lambda k: k.value):
-        campaign.register(
-            RolloutFaultInjector(
-                kind,
-                on_bad_envelope=on_bad_envelope,
-                on_stall=on_stall,
-                targets=targets,
-            )
-        )
-    return campaign
+    return _register_each(
+        campaign,
+        ROLLOUT_FAULT_KINDS,
+        lambda kind: RolloutFaultInjector(
+            kind, on_bad_envelope=on_bad_envelope, on_stall=on_stall
+        ),
+    )
 
 
 def register_health_injectors(
@@ -937,20 +740,15 @@ def register_health_injectors(
     on_drift: Callable[[str, float], None],
     on_burst: Callable[[str, int], None],
     on_sdc: Callable[[str], None],
-    targets: Mapping[str, object] | None = None,
 ) -> FaultCampaign:
     """Register one :class:`SiliconHealthInjector` per health kind."""
-    for kind in sorted(HEALTH_FAULT_KINDS, key=lambda k: k.value):
-        campaign.register(
-            SiliconHealthInjector(
-                kind,
-                on_drift=on_drift,
-                on_burst=on_burst,
-                on_sdc=on_sdc,
-                targets=targets,
-            )
-        )
-    return campaign
+    return _register_each(
+        campaign,
+        HEALTH_FAULT_KINDS,
+        lambda kind: SiliconHealthInjector(
+            kind, on_drift=on_drift, on_burst=on_burst, on_sdc=on_sdc
+        ),
+    )
 
 
 def register_power_injectors(
@@ -969,45 +767,30 @@ def register_power_injectors(
 
 
 def register_facility_injectors(
-    campaign: FaultCampaign,
-    facilities: Mapping[str, FacilityState],
-    on_fault: Callable[[str, FaultSpec], None] | None = None,
-    on_clear: Callable[[str], None] | None = None,
+    campaign: FaultCampaign, facilities: Mapping[str, FacilityState]
 ) -> FaultCampaign:
     """Register one :class:`FacilityFaultInjector` per facility kind."""
-    for kind in sorted(FACILITY_FAULT_KINDS, key=lambda k: k.value):
-        campaign.register(
-            FacilityFaultInjector(kind, facilities, on_fault=on_fault, on_clear=on_clear)
-        )
-    return campaign
+    return _register_each(
+        campaign, FACILITY_FAULT_KINDS, lambda kind: FacilityFaultInjector(kind, facilities)
+    )
 
 
 def register_channel_injectors(
-    campaign: FaultCampaign,
-    channels: Mapping[str, LossyChannel],
-    on_fault: Callable[[str, FaultSpec], None] | None = None,
-    on_clear: Callable[[str], None] | None = None,
+    campaign: FaultCampaign, channels: Mapping[str, LossyChannel]
 ) -> FaultCampaign:
     """Register one :class:`ChannelFaultInjector` per control-plane kind."""
-    for kind in sorted(CHANNEL_FAULT_KINDS, key=lambda k: k.value):
-        campaign.register(
-            ChannelFaultInjector(kind, channels, on_fault=on_fault, on_clear=on_clear)
-        )
-    return campaign
+    return _register_each(
+        campaign, CHANNEL_FAULT_KINDS, lambda kind: ChannelFaultInjector(kind, channels)
+    )
 
 
 def register_sensor_injectors(
-    campaign: FaultCampaign,
-    sensors: Mapping[str, FaultySensor],
-    on_fault: Callable[[str, SensorFault], None] | None = None,
-    on_clear: Callable[[str], None] | None = None,
+    campaign: FaultCampaign, sensors: Mapping[str, FaultySensor]
 ) -> FaultCampaign:
     """Register one :class:`SensorFaultInjector` per sensor-fault kind."""
-    for kind in sorted(SENSOR_FAULT_KINDS, key=lambda k: k.value):
-        campaign.register(
-            SensorFaultInjector(kind, sensors, on_fault=on_fault, on_clear=on_clear)
-        )
-    return campaign
+    return _register_each(
+        campaign, SENSOR_FAULT_KINDS, lambda kind: SensorFaultInjector(kind, sensors)
+    )
 
 
 __all__ = [

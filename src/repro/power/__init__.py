@@ -20,9 +20,8 @@ This package models the collision and the machinery that survives it:
   revoke → shed → isolate) on the shared
   :class:`~repro.emergency.StagedLadder` machinery.
 
-The vectorized enforcement path over the same tree lives in
-:mod:`repro.vector.rollup`; the crisis experiment racing naive vs
-arbitrated fleets is :mod:`repro.experiments.oversubscription_crisis`.
+The crisis experiment racing naive vs arbitrated fleets is
+:mod:`repro.experiments.oversubscription_crisis`.
 """
 
 from .arbiter import ARBITER_DENIED, GrantDecision, PowerBudgetArbiter

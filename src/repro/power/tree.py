@@ -17,8 +17,7 @@ Unlike :class:`repro.cluster.power_delivery.PowerNode` (which holds live
 :class:`~repro.cluster.host.Host` objects and exists for small capping
 scenarios), this model is *name-keyed and scale-free*: hosts are leaf
 names with per-host draws supplied from outside, so the same tree
-drives an 8-host crisis experiment and the 100k-host vectorized rollup
-in :mod:`repro.vector.rollup`.
+drives an 8-host crisis experiment and a region-sized rollup.
 """
 
 from __future__ import annotations

@@ -114,8 +114,33 @@ class CoreCounters:
         )
 
 
+class _CounterSet:
+    """Field-wise ``merge``/``describe`` shared by the counter dataclasses.
+
+    Subclasses are dataclasses of integer counters; the base adds no
+    field, so their field lists (which feed run signatures) are theirs.
+    """
+
+    #: What :meth:`describe` prints when every counter is zero.
+    _idle = "(no activity)"
+
+    def merge(self, other: "_CounterSet") -> None:
+        """Fold another counter set into this one (field-wise sum)."""
+        for spec in fields(self):
+            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
+
+    def describe(self) -> str:
+        """One-line human-readable summary of the non-zero counters."""
+        parts = [
+            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
+            for spec in fields(self)
+            if getattr(self, spec.name)
+        ]
+        return ", ".join(parts) or self._idle
+
+
 @dataclass
-class ControlPlaneCounters:
+class ControlPlaneCounters(_CounterSet):
     """Actuation-path health counters (the command bus's vital signs).
 
     One instance is shared by a :class:`~repro.control.bus.CommandBus`,
@@ -155,25 +180,11 @@ class ControlPlaneCounters:
     #: Emergency-priority attempts that went out past an open breaker.
     emergency_bypasses: int = 0
 
-    def merge(self, other: "ControlPlaneCounters") -> None:
-        """Fold another counter set into this one (field-wise sum)."""
-        for spec in fields(self):
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the non-zero counters."""
-        parts = [
-            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
-            for spec in fields(self)
-            if getattr(self, spec.name)
-        ]
-        return ", ".join(parts) or "(no control-plane activity)"
+    _idle = "(no control-plane activity)"
 
 
 @dataclass
-class EmergencyCounters:
+class EmergencyCounters(_CounterSet):
     """Degradation-ladder health counters (the emergency path's story).
 
     One instance is owned by an
@@ -199,25 +210,11 @@ class EmergencyCounters:
     #: Full recoveries: the ladder walked all the way back to NORMAL.
     rearms: int = 0
 
-    def merge(self, other: "EmergencyCounters") -> None:
-        """Fold another counter set into this one (field-wise sum)."""
-        for spec in fields(self):
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the non-zero counters."""
-        parts = [
-            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
-            for spec in fields(self)
-            if getattr(self, spec.name)
-        ]
-        return ", ".join(parts) or "(no emergency activity)"
+    _idle = "(no emergency activity)"
 
 
 @dataclass
-class PowerEmergencyCounters:
+class PowerEmergencyCounters(_CounterSet):
     """Power-delivery ladder health counters (the oversubscription story).
 
     One instance is owned by a
@@ -248,25 +245,11 @@ class PowerEmergencyCounters:
     #: Overclock grants denied by the budget arbiter.
     overclocks_denied: int = 0
 
-    def merge(self, other: "PowerEmergencyCounters") -> None:
-        """Fold another counter set into this one (field-wise sum)."""
-        for spec in fields(self):
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the non-zero counters."""
-        parts = [
-            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
-            for spec in fields(self)
-            if getattr(self, spec.name)
-        ]
-        return ", ".join(parts) or "(no power-emergency activity)"
+    _idle = "(no power-emergency activity)"
 
 
 @dataclass
-class ServiceCounters:
+class ServiceCounters(_CounterSet):
     """Overload-control health counters (the live service's story).
 
     One instance is owned by a
@@ -309,25 +292,11 @@ class ServiceCounters:
     #: Ticks spent with any brownout rung engaged.
     brownout_ticks: int = 0
 
-    def merge(self, other: "ServiceCounters") -> None:
-        """Fold another counter set into this one (field-wise sum)."""
-        for spec in fields(self):
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the non-zero counters."""
-        parts = [
-            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
-            for spec in fields(self)
-            if getattr(self, spec.name)
-        ]
-        return ", ".join(parts) or "(no service activity)"
+    _idle = "(no service activity)"
 
 
 @dataclass
-class HealthCounters:
+class HealthCounters(_CounterSet):
     """Silicon-health pipeline counters (the fleet's aging story).
 
     One instance is owned by a
@@ -373,25 +342,11 @@ class HealthCounters:
     #: Audit signature mismatches charged to a host.
     audit_mismatches: int = 0
 
-    def merge(self, other: "HealthCounters") -> None:
-        """Fold another counter set into this one (field-wise sum)."""
-        for spec in fields(self):
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the non-zero counters."""
-        parts = [
-            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
-            for spec in fields(self)
-            if getattr(self, spec.name)
-        ]
-        return ", ".join(parts) or "(no health activity)"
+    _idle = "(no health activity)"
 
 
 @dataclass
-class RolloutCounters:
+class RolloutCounters(_CounterSet):
     """Progressive-rollout health counters (the change-management story).
 
     One instance is owned by a
@@ -440,21 +395,7 @@ class RolloutCounters:
     #: of service when the push reached them.
     cohort_excluded_hosts: int = 0
 
-    def merge(self, other: "RolloutCounters") -> None:
-        """Fold another counter set into this one (field-wise sum)."""
-        for spec in fields(self):
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-
-    def describe(self) -> str:
-        """One-line human-readable summary of the non-zero counters."""
-        parts = [
-            f"{spec.name.replace('_', '-')}={getattr(self, spec.name)}"
-            for spec in fields(self)
-            if getattr(self, spec.name)
-        ]
-        return ", ".join(parts) or "(no rollout activity)"
+    _idle = "(no rollout activity)"
 
 
 __all__ = [

@@ -1,9 +1,7 @@
-"""Power-delivery tree: shape validation, breaker trip curves, rollup,
-and bit-equivalence of the vectorized path with the scalar one."""
+"""Power-delivery tree: shape validation, breaker trip curves and rollup."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -13,9 +11,7 @@ from repro.power import (
     DeliveryLevel,
     DeliveryNode,
     PowerDeliveryHierarchy,
-    build_uniform_hierarchy,
 )
-from repro.vector import VectorizedBudgetRollup
 
 
 def small_tree() -> PowerDeliveryHierarchy:
@@ -180,50 +176,3 @@ class TestRollupAndTrips:
         draws = {"rack-0/h0": 0.0, "rack-0/h1": 0.0, "rack-1/h0": 300.0, "rack-1/h1": 300.0}
         assert tree.observe_breakers(1.0, 1.0, draws) == []
         assert tree.dead_hosts() == ["rack-0/h0", "rack-0/h1"]
-
-
-class TestVectorEquivalence:
-    @pytest.fixture()
-    def uniform(self):
-        return build_uniform_hierarchy(hosts_per_rack=4, racks_per_row=3, rows_per_ups=2)
-
-    def seeded_draws(self, tree, seed=7, scale=1.0):
-        rng = np.random.default_rng(seed)
-        return {
-            name: float(rng.uniform(50.0, 420.0)) * scale for name in tree.hosts
-        }
-
-    def test_rollup_matches_scalar(self, uniform):
-        vector = VectorizedBudgetRollup(uniform)
-        draw_map = self.seeded_draws(uniform)
-        draws = vector.draw_vector(draw_map)
-        scalar = uniform.rollup(draw_map)
-        for index, name in enumerate(vector.interior):
-            assert vector.rollup(draws)[index] == pytest.approx(
-                scalar[name], rel=1e-12
-            )
-
-    def test_worst_headroom_matches_scalar(self, uniform):
-        vector = VectorizedBudgetRollup(uniform)
-        draw_map = self.seeded_draws(uniform)
-        assert vector.worst_headroom_fraction(
-            vector.draw_vector(draw_map)
-        ) == pytest.approx(uniform.worst_headroom_fraction(draw_map), rel=1e-12)
-
-    def test_enforce_restores_every_budget(self, uniform):
-        vector = VectorizedBudgetRollup(uniform)
-        draws = vector.draw_vector(self.seeded_draws(uniform, scale=3.0))
-        assert vector.over_budget(draws)  # genuinely overloaded going in
-        scaled = draws * vector.enforce(draws)
-        assert vector.over_budget(scaled) == []
-        assert np.all(vector.enforce(draws) <= 1.0)
-
-    def test_enforce_is_identity_for_healthy_fleet(self, uniform):
-        vector = VectorizedBudgetRollup(uniform)
-        draws = vector.draw_vector({name: 50.0 for name in uniform.hosts})
-        assert np.array_equal(vector.enforce(draws), np.ones(len(uniform.hosts)))
-
-    def test_draw_vector_rejects_unknown_host(self, uniform):
-        vector = VectorizedBudgetRollup(uniform)
-        with pytest.raises(ConfigurationError):
-            vector.draw_vector({"no-such-host": 1.0})
