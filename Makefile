@@ -100,12 +100,15 @@ test-rollout:
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_rollout.py \
 		tests/test_envelope_rollout.py -q
 
-# Regenerate the golden pins under tests/golden/ (fault timelines,
-# callbacks, validations and faults-scenario output hashes at seeds
-# 1, 2 and 7). tests/test_golden_faults.py only reads them, so any
-# behaviour change shows up as a reviewable diff of the JSON.
+# Regenerate the golden pins under tests/golden/ at seeds 1, 2 and 7:
+# faults.json (fault timelines, callbacks, validations and
+# faults-scenario output hashes) and des.json (shrunk Fig. 15/16
+# auto-scaler runs and a 300-tick service signature chain).
+# tests/test_golden_faults.py and tests/test_golden_des.py only read
+# them, so any behaviour change shows up as a reviewable diff of the JSON.
 golden:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/golden/faults_pins.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/golden/des_pins.py
 
 lint:
 	ruff check src tests benchmarks
