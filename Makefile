@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -124,6 +124,14 @@ bench-smoke:
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/test_perf_engine.py benchmarks/test_perf_health.py \
 		-q -m perf
+
+# The end-to-end benchmark harness's own tests (~40 s): the pinned
+# workload digests, the sliced ramp and its traced twin, and the
+# tracer's wrappers over Simulator.at/after/every, EventQueue.push,
+# RandomStreams draws, LoadBalancer.route and ServerVM.submit, which
+# any change to those hot paths must keep working.
+bench-test:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest bench -q
 
 clean-cache:
 	rm -rf .repro_cache

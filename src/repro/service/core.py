@@ -639,7 +639,10 @@ class ServiceCore:
         if self._queue is None:
             return
         now = self._sim.now
-        while self._lb.in_flight < self.config.max_in_flight:
+        # Only the routes below change the fleet's in-flight count here:
+        # count them instead of re-summing every VM on each pass.
+        in_flight = self._lb.in_flight
+        while in_flight < self.config.max_in_flight:
             request = self._queue.pop(now, slack_s=self.config.dispatch_slack_s)
             if request is None:
                 return
@@ -656,6 +659,7 @@ class ServiceCore:
             if vm is None:
                 self.counters.lost_to_trips += 1
                 return
+            in_flight += 1
             if self._auditor is not None:
                 self._observe_result(request.request_id, vm)
 

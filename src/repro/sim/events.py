@@ -9,9 +9,9 @@ timestamp, which is essential for reproducible experiments.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from ..errors import SimulationError
@@ -56,15 +56,16 @@ class EventQueue:
         """Schedule ``callback`` at ``time`` and return the event handle."""
         if time != time:  # NaN guard
             raise SimulationError("cannot schedule an event at NaN time")
-        event = Event(time, next(self._counter), callback, name, False)
-        heapq.heappush(self._heap, (time, event.sequence, event))
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, name)
+        heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> Event | None:
         """Remove and return the earliest live event, or None if empty."""
         heap = self._heap
         while heap:
-            _, _, event = heapq.heappop(heap)
+            _, _, event = heappop(heap)
             if not event.cancelled:
                 return event
         return None
@@ -73,7 +74,7 @@ class EventQueue:
         """Return the firing time of the earliest live event, if any."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
         return heap[0][0]

@@ -15,6 +15,8 @@ wall time and complete in milliseconds of real time.
 
 from __future__ import annotations
 
+import math
+from heapq import heappop
 from typing import Callable
 
 from ..errors import SimulationError
@@ -109,20 +111,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError(
-                f"event {event.name!r} at {event.time} is in the past (now={self._now})"
-            )
-        self._now = event.time
-        self._event_count += 1
-        event.callback()
-        return True
-
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue empties, ``until`` passes, or
         ``max_events`` fire.
@@ -130,22 +118,34 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         at the end of the run even if the last event fired earlier, so
         time-based metrics integrate over the full horizon.
+
+        The loop reads the queue's heap directly: cancelled heads are
+        discarded in place and the next live event is popped only once
+        it is known to fire, so each event costs one heap pop and no
+        further calls besides its callback.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        executed = 0
+        heap = self._queue._heap
+        horizon = math.inf if until is None else until
+        stop_at = math.inf if max_events is None else self._event_count + max_events
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
+            while heap and self._event_count < stop_at:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > horizon:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
-                executed += 1
+                heappop(heap)
+                if time < self._now:
+                    raise SimulationError(
+                        f"event {event.name!r} at {time} is in the past (now={self._now})"
+                    )
+                self._now = time
+                self._event_count += 1
+                event.callback()
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -106,13 +106,20 @@ class OpenLoopSource:
             raise SimulationError("burst_mean must be >= 1")
         self._simulator = simulator
         self._sink = sink
-        self._rate = float(rate_per_second)
         self._stream = stream_name
+        self._burst_stream = f"{stream_name}:burst"
         self._deterministic = deterministic
         self._burst_mean = float(burst_mean)
+        # Geometric bursts on {1, 2, ...} with mean burst_mean: each
+        # request continues the burst with probability 1 - 1/burst_mean,
+        # so a burst is 1 + floor(log(u) / log(that probability)).
+        self._log_continue = (
+            math.log(1.0 - 1.0 / self._burst_mean) if self._burst_mean != 1.0 else 0.0
+        )
         self._pending = None
         self._stopped = False
         self._generated = 0
+        self._set_rate(float(rate_per_second))
         if self._rate > 0:
             self._schedule_next()
 
@@ -129,16 +136,17 @@ class OpenLoopSource:
         """Re-program the arrival rate, effective immediately."""
         if rate_per_second < 0:
             raise SimulationError("arrival rate must be non-negative")
-        was_idle = self._rate == 0 or self._pending is None
-        self._rate = float(rate_per_second)
+        self._set_rate(float(rate_per_second))
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
         if self._rate > 0 and not self._stopped:
             self._schedule_next()
-        elif self._rate == 0:
-            self._pending = None
-        del was_idle  # rate changes always reschedule from 'now'
+
+    def _set_rate(self, rate: float) -> None:
+        self._rate = rate
+        #: Mean gap between arrival epochs at this rate.
+        self._epoch_gap = 1.0 / (rate / self._burst_mean) if rate > 0 else math.inf
 
     def stop(self) -> None:
         """Permanently stop generating arrivals."""
@@ -150,25 +158,20 @@ class OpenLoopSource:
     def _schedule_next(self) -> None:
         if self._rate <= 0 or self._stopped:
             return
-        epoch_rate = self._rate / self._burst_mean
         if self._deterministic:
-            gap = 1.0 / epoch_rate
+            gap = self._epoch_gap
         else:
-            gap = self._simulator.streams.exponential(self._stream, 1.0 / epoch_rate)
+            gap = self._simulator.streams.exponential(self._stream, self._epoch_gap)
         self._pending = self._simulator.after(gap, self._fire, name="arrival")
-
-    def _burst_size(self) -> int:
-        if self._burst_mean == 1.0:
-            return 1
-        # Geometric on {1, 2, ...} with mean burst_mean.
-        success = 1.0 / self._burst_mean
-        draw = self._simulator.streams.uniform(f"{self._stream}:burst", 0.0, 1.0)
-        return 1 + int(math.log(max(draw, 1e-12)) / math.log(1.0 - success))
 
     def _fire(self) -> None:
         self._pending = None
         now = self._simulator.now
-        for _ in range(self._burst_size()):
+        burst = 1
+        if self._burst_mean != 1.0:
+            draw = self._simulator.streams.uniform(self._burst_stream, 0.0, 1.0)
+            burst += int(math.log(max(draw, 1e-12)) / self._log_continue)
+        for _ in range(burst):
             self._generated += 1
             self._sink(now)
         self._schedule_next()

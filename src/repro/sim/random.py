@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,21 +42,46 @@ def split_seed(master_seed: int, key: str) -> int:
 #: variates; batching amortizes the numpy call overhead ~50x.
 _BATCH_SIZE = 8192
 
+#: Batch draws of the standard variates each scalar draw scales.
+_STANDARD_EXPONENTIAL = np.random.Generator.standard_exponential
+_STANDARD_NORMAL = np.random.Generator.standard_normal
+_STANDARD_UNIFORM = np.random.Generator.random
+
+
+def _lognormal_params(mean: float, cv: float) -> tuple[float, float] | None:
+    """``(mu, sigma)`` of the normal under a lognormal with this arithmetic
+    mean and CV, or None when ``cv`` is zero (the draw is ``mean``)."""
+    if mean <= 0:
+        raise ValueError("lognormal mean must be positive")
+    if cv < 0:
+        raise ValueError("lognormal cv must be non-negative")
+    if cv == 0:
+        return None
+    sigma2 = math.log(1.0 + cv * cv)
+    return math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
+
 
 class RandomStreams:
     """A registry of named :class:`numpy.random.Generator` streams.
 
     Scalar draws are served from per-stream batches of *standard*
-    variates (unit exponential / standard normal) scaled at use, so a
-    stream's sequence stays deterministic even when the requested mean
-    or CV changes between draws.
+    variates (unit exponential / standard normal / unit uniform) scaled
+    at use, so a stream's sequence stays deterministic even when the
+    requested mean, CV or range changes between draws. Each batch stays
+    a numpy array; draws iterate a ``memoryview`` of it, which yields
+    plain floats without building a list or a numpy scalar per draw.
+    A buffered draw equals the matching ``Generator`` method's next
+    variate for the stream, as long as the stream serves one kind of
+    draw (every stream in this library does).
     """
 
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = master_seed
         self._streams: dict[str, np.random.Generator] = {}
-        self._exp_buffers: dict[str, tuple[np.ndarray, int]] = {}
-        self._normal_buffers: dict[str, tuple[np.ndarray, int]] = {}
+        self._exponential: dict[str, Iterator[float]] = {}
+        self._normal: dict[str, Iterator[float]] = {}
+        self._uniform: dict[str, Iterator[float]] = {}
+        self._lognormal: dict[tuple[float, float], tuple[float, float] | None] = {}
 
     @property
     def master_seed(self) -> int:
@@ -67,25 +93,22 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(split_seed(self._master_seed, name))
         return self._streams[name]
 
-    def _standard_exponential(self, name: str) -> float:
-        entry = self._exp_buffers.get(name)
-        if entry is None or entry[1] >= _BATCH_SIZE:
-            entry = (self.get(name).standard_exponential(_BATCH_SIZE), 0)
-        buffer, index = entry
-        self._exp_buffers[name] = (buffer, index + 1)
-        return float(buffer[index])
-
-    def _standard_normal(self, name: str) -> float:
-        entry = self._normal_buffers.get(name)
-        if entry is None or entry[1] >= _BATCH_SIZE:
-            entry = (self.get(name).standard_normal(_BATCH_SIZE), 0)
-        buffer, index = entry
-        self._normal_buffers[name] = (buffer, index + 1)
-        return float(buffer[index])
+    def _refill(
+        self,
+        batches: dict[str, Iterator[float]],
+        name: str,
+        draw: Callable[[np.random.Generator, int], np.ndarray],
+    ) -> float:
+        """Draw a fresh batch for ``name`` and return its first variate."""
+        batch = batches[name] = iter(memoryview(draw(self.get(name), _BATCH_SIZE)))
+        return next(batch)
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw an exponential variate with the given mean."""
-        return self._standard_exponential(name) * mean
+        try:
+            return next(self._exponential[name]) * mean
+        except (KeyError, StopIteration):
+            return self._refill(self._exponential, name, _STANDARD_EXPONENTIAL) * mean
 
     def lognormal(self, name: str, mean: float, cv: float) -> float:
         """Draw a lognormal variate with target mean and coefficient of variation.
@@ -94,19 +117,29 @@ class RandomStreams:
         underlying normal parameters are solved so the *arithmetic* mean
         and CV match the request.
         """
-        if mean <= 0:
-            raise ValueError("lognormal mean must be positive")
-        if cv < 0:
-            raise ValueError("lognormal cv must be non-negative")
-        if cv == 0:
+        try:
+            params = self._lognormal[mean, cv]
+        except KeyError:
+            params = self._lognormal[mean, cv] = _lognormal_params(mean, cv)
+        if params is None:
             return mean
-        sigma2 = math.log(1.0 + cv * cv)
-        mu = math.log(mean) - sigma2 / 2.0
-        return math.exp(mu + math.sqrt(sigma2) * self._standard_normal(name))
+        mu, sigma = params
+        try:
+            normal = next(self._normal[name])
+        except (KeyError, StopIteration):
+            normal = self._refill(self._normal, name, _STANDARD_NORMAL)
+        return math.exp(mu + sigma * normal)
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw a uniform variate in ``[low, high)``."""
-        return float(self.get(name).uniform(low, high))
+        span = high - low
+        if not 0.0 <= span < math.inf:
+            raise ValueError(f"uniform range [{low}, {high}) is empty or unbounded")
+        try:
+            unit = next(self._uniform[name])
+        except (KeyError, StopIteration):
+            unit = self._refill(self._uniform, name, _STANDARD_UNIFORM)
+        return low + span * unit
 
 
 __all__ = ["RandomStreams", "split_seed"]

@@ -20,8 +20,7 @@ busy-seconds so the auto-scaler can sample real telemetry.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from ..errors import ConfigurationError, WorkloadError
@@ -50,18 +49,6 @@ DEFAULT_SERVICE_CV = 0.8
 DEFAULT_SCALABLE_FRACTION = 0.85
 
 
-@dataclass
-class _Job:
-    arrival_time: float
-    #: Virtual-clock reading at which this job completes.
-    target_virtual_time: float
-    #: Invoked as ``on_complete(completion_time, arrival_time)`` when the
-    #: job finishes — the live service's goodput/deadline accounting hook.
-    on_complete: Callable[[float, float], None] | None = field(
-        default=None, compare=False
-    )
-
-
 class ServerVM:
     """One VM of the client-server application.
 
@@ -76,8 +63,15 @@ class ServerVM:
     jobs deplete remaining work at the same instantaneous rate
     ``min(1, vcores/n) / slowdown(f)``; a virtual clock advances at that
     rate, each job completes when the clock passes
-    ``arrival_reading + demand``, and a heap keyed on that target yields
-    the next completion in O(log n).
+    ``arrival_reading + demand``, and a heap of
+    ``(target, seq, arrival_time, on_complete)`` tuples keyed on that
+    target yields the next completion in O(log n). ``on_complete`` is
+    invoked as ``on_complete(completion_time, arrival_time)`` when the
+    job finishes.
+
+    The rate changes only when ``n`` or the frequency does, and every
+    such change re-arms the completion event, so :meth:`_reschedule`
+    computes the rate and :meth:`_advance` integrates with it.
     """
 
     def __init__(
@@ -105,17 +99,21 @@ class ServerVM:
         self._service_mean = service_mean_s
         self._service_cv = service_cv
         self.scalable_fraction = scalable_fraction
+        self._slowdown = self._slowdown_at(base_frequency_ghz)
+        self._stream = f"service:{name}"
+        self._event_name = f"{name}:complete"
         self._latency = latency_recorder
         self._counters = CoreCounters()
         self._busy_seconds = 0.0
         self._completed = 0
         # Processor-sharing state.
-        self._jobs: list[tuple[float, int, _Job]] = []  # heap on target vtime
+        self._jobs: list[tuple[float, int, float, Callable[[float, float], None] | None]] = []
         self._job_seq = 0
         self._virtual_time = 0.0
+        #: Work each active job depletes per second, set by _reschedule.
+        self._rate = 0.0
         self._last_advance = simulator.now
         self._pending_completion = None
-        self._max_concurrency_seen = 0
 
     # ------------------------------------------------------------------
     # Frequency control (the scale-up/down knob)
@@ -134,52 +132,45 @@ class ServerVM:
             return
         self._advance()
         self._frequency_ghz = frequency_ghz
+        self._slowdown = self._slowdown_at(frequency_ghz)
         self._reschedule()
 
-    def _slowdown(self) -> float:
-        """Service-time stretch at the current frequency (1.0 at base)."""
+    def _slowdown_at(self, frequency_ghz: float) -> float:
+        """Service-time stretch at ``frequency_ghz`` (1.0 at base)."""
         beta = self.scalable_fraction
-        ratio = self.base_frequency_ghz / self._frequency_ghz
-        return beta * ratio + (1.0 - beta)
+        return beta * (self.base_frequency_ghz / frequency_ghz) + (1.0 - beta)
 
     # ------------------------------------------------------------------
     # Processor-sharing engine
     # ------------------------------------------------------------------
-    def _per_job_rate(self) -> float:
-        """Work depleted per second by each active job (0 when idle)."""
-        n = len(self._jobs)
-        if n == 0:
-            return 0.0
-        share = min(1.0, self.vcores / n)
-        return share / self._slowdown()
-
     def _advance(self) -> None:
         """Integrate virtual time and telemetry up to the present."""
         now = self._sim.now
         span = now - self._last_advance
+        self._last_advance = now
         if span <= 0:
-            self._last_advance = now
             return
         n = len(self._jobs)
         if n > 0:
-            self._virtual_time += self._per_job_rate() * span
-            busy = min(n, self.vcores) * span
+            self._virtual_time += self._rate * span
+            busy = (n if n < self.vcores else self.vcores) * span
             self._busy_seconds += busy
             self._counters.accumulate(busy, self._frequency_ghz, self.scalable_fraction)
-        self._last_advance = now
 
     def _reschedule(self) -> None:
         """(Re)arm the completion event for the job finishing next."""
         if self._pending_completion is not None:
             self._pending_completion.cancel()
             self._pending_completion = None
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
             return
-        rate = self._per_job_rate()
-        target = self._jobs[0][0]
-        delay = max(0.0, (target - self._virtual_time) / rate)
+        n = len(jobs)
+        vcores = self.vcores
+        self._rate = rate = (vcores / n if n > vcores else 1.0) / self._slowdown
+        delay = (jobs[0][0] - self._virtual_time) / rate
         self._pending_completion = self._sim.after(
-            delay, self._complete_next, name=f"{self.name}:complete"
+            delay if delay > 0.0 else 0.0, self._complete_next, self._event_name
         )
 
     def _complete_next(self) -> None:
@@ -187,12 +178,13 @@ class ServerVM:
         self._advance()
         if not self._jobs:
             return
-        _target, _seq, job = heapq.heappop(self._jobs)
+        _target, _seq, arrival_time, on_complete = heappop(self._jobs)
         self._completed += 1
+        now = self._sim.now
         if self._latency is not None:
-            self._latency.record(self._sim.now, self._sim.now - job.arrival_time)
-        if job.on_complete is not None:
-            job.on_complete(self._sim.now, job.arrival_time)
+            self._latency.record(now, now - arrival_time)
+        if on_complete is not None:
+            on_complete(now, arrival_time)
         self._reschedule()
 
     def submit(
@@ -213,16 +205,12 @@ class ServerVM:
             raise WorkloadError("demand_scale must be positive")
         self._advance()
         demand = demand_scale * self._sim.streams.lognormal(
-            f"service:{self.name}", self._service_mean, self._service_cv
-        )
-        job = _Job(
-            arrival_time=arrival_time,
-            target_virtual_time=self._virtual_time + demand,
-            on_complete=on_complete,
+            self._stream, self._service_mean, self._service_cv
         )
         self._job_seq += 1
-        heapq.heappush(self._jobs, (job.target_virtual_time, self._job_seq, job))
-        self._max_concurrency_seen = max(self._max_concurrency_seen, len(self._jobs))
+        heappush(
+            self._jobs, (self._virtual_time + demand, self._job_seq, arrival_time, on_complete)
+        )
         self._reschedule()
 
     def drop_all_jobs(self) -> int:
@@ -311,12 +299,14 @@ class LoadBalancer:
         on_complete: Callable[[float, float], None] | None = None,
     ) -> ServerVM | None:
         """Send one request to the next VM in rotation; returns it."""
-        if not self._vms:
+        vms = self._vms
+        if not vms:
             self._dropped += 1
             return None
-        vm = self._vms[self._next % len(self._vms)]
-        self._next = (self._next + 1) % len(self._vms)
-        vm.submit(arrival_time, demand_scale=demand_scale, on_complete=on_complete)
+        count = len(vms)
+        vm = vms[self._next % count]
+        self._next = (self._next + 1) % count
+        vm.submit(arrival_time, demand_scale, on_complete)
         return vm
 
     @property

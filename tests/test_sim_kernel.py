@@ -1,11 +1,16 @@
 """Tests for the discrete-event simulation kernel."""
 
+import math
+from bisect import insort
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import EventQueue, Simulator
+from repro.sim import EventQueue, RandomStreams, Simulator, split_seed
+from repro.sim.random import _BATCH_SIZE
 
 
 class TestEventQueue:
@@ -98,6 +103,30 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.after(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.at(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.after(math.nan, lambda: None)
+
+    def test_past_dated_heap_event_rejected(self):
+        sim = Simulator()
+        sim.run(until=10.0)
+        sim._queue.push(5.0, lambda: None, "stale")
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run()
+
+    def test_reentrant_run_rejected_and_released(self):
+        sim = Simulator()
+        sim.at(1.0, sim.run)
+        with pytest.raises(SimulationError, match="reentrant"):
+            sim.run()
+        fired = []
+        sim.at(2.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [2.0]
+
     def test_periodic_events_fire_until_cancelled(self):
         sim = Simulator()
         ticks = []
@@ -169,8 +198,6 @@ class TestRandomStreams:
 
     @given(st.floats(min_value=0.01, max_value=100), st.floats(min_value=0.0, max_value=3.0))
     def test_lognormal_mean_and_cv(self, mean, cv):
-        import numpy as np
-
         sim = Simulator(seed=7)
         draws = np.array([sim.streams.lognormal("s", mean, cv) for _ in range(4000)])
         assert np.mean(draws) == pytest.approx(mean, rel=0.35 + 0.35 * cv)
@@ -185,3 +212,168 @@ class TestRandomStreams:
             sim.streams.lognormal("s", -1.0, 0.5)
         with pytest.raises(ValueError):
             sim.streams.lognormal("s", 1.0, -0.5)
+
+
+class _SortedListModel:
+    """Reference semantics for ``Simulator.run``: a plain list kept sorted
+    on ``(time, scheduling order)``, where cancelling removes the entry."""
+
+    def __init__(self, program):
+        self.program = program
+        self.pending = sorted((time, ident, ident) for ident, (time, _, _) in enumerate(program))
+        self.next_sequence = len(program)
+        self.now = 0.0
+        self.fired = []
+
+    def cancel(self, ident):
+        self.pending = [entry for entry in self.pending if entry[2] != ident]
+
+    def run(self, until=None, max_events=None):
+        count = 0
+        while self.pending and (max_events is None or count < max_events):
+            time, _, ident = self.pending[0]
+            if until is not None and time > until:
+                break
+            if time < self.now:  # a max_events stop let the clock jump to until
+                raise SimulationError("event in the past")
+            del self.pending[0]
+            self.now = time
+            count += 1
+            self.fired.append((ident, time))
+            if ident >= 0:  # spawned events (-1) do nothing
+                _, target, spawn_delay = self.program[ident]
+                if target is not None:
+                    self.cancel(target)
+                if spawn_delay is not None:
+                    insort(self.pending, (time + spawn_delay, self.next_sequence, -1))
+                    self.next_sequence += 1
+        if until is not None and until > self.now:
+            self.now = until
+
+
+def _run_kernel(program, cancelled, segments):
+    """Run ``program`` on a Simulator; return the firing log and clocks."""
+    sim = Simulator()
+    fired = []
+    handles = []
+
+    def fire(ident):
+        fired.append((ident, sim.now))
+        if ident < 0:
+            return
+        _, target, spawn_delay = program[ident]
+        if target is not None:
+            handles[target].cancel()
+        if spawn_delay is not None:
+            sim.after(spawn_delay, lambda: fire(-1))
+
+    for ident, (time, _, _) in enumerate(program):
+        handles.append(sim.at(time, lambda ident=ident: fire(ident)))
+    for ident in cancelled:
+        handles[ident].cancel()
+    clocks = []
+    for until, max_events in segments:
+        try:
+            sim.run(until=until, max_events=max_events)
+        except SimulationError:
+            clocks.append("past")
+            break
+        clocks.append(sim.now)
+    return fired, clocks
+
+
+#: Few distinct times, so ties are common; ``until`` also lands between them.
+_times = st.integers(0, 8).map(lambda k: k * 0.5)
+_untils = st.none() | st.integers(0, 20).map(lambda k: k * 0.25)
+
+
+@st.composite
+def _programs(draw):
+    size = draw(st.integers(0, 25))
+    program = [
+        (
+            draw(_times),
+            draw(st.none() | st.integers(0, size - 1)) if size else None,
+            draw(st.none() | st.integers(0, 4).map(lambda k: k * 0.5)),
+        )
+        for _ in range(size)
+    ]
+    cancelled = draw(st.sets(st.integers(0, size - 1))) if size else set()
+    segments = draw(
+        st.lists(st.tuples(_untils, st.none() | st.integers(0, 12)), min_size=1, max_size=3)
+    )
+    return program, cancelled, segments
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_programs())
+    def test_run_matches_sorted_list_model(self, case):
+        """Random schedules, up-front and in-run cancellations (including
+        the head), equal-time ties, events scheduled while running, and
+        ``until``/``max_events`` segments fire exactly like the model.
+
+        A run stopped by ``max_events`` still advances the clock to
+        ``until``, so a later run can meet an event in the past; both
+        sides must then raise at the same point."""
+        program, cancelled, segments = case
+        fired, clocks = _run_kernel(program, cancelled, segments + [(None, None)])
+        model = _SortedListModel(program)
+        for ident in cancelled:
+            model.cancel(ident)
+        expected_clocks = []
+        for until, max_events in segments + [(None, None)]:
+            try:
+                model.run(until, max_events)
+            except SimulationError:
+                expected_clocks.append("past")
+                break
+            expected_clocks.append(model.now)
+        assert fired == model.fired
+        assert clocks == expected_clocks
+
+
+class TestBufferedDraws:
+    """Batched draws equal the stream's own ``Generator`` called per draw."""
+
+    COUNT = _BATCH_SIZE + 1000  # crosses a batch refill
+
+    @staticmethod
+    def generator(seed, name):
+        return np.random.default_rng(split_seed(seed, name))
+
+    def test_exponential_matches_generator(self):
+        streams = RandomStreams(11)
+        drawn = [streams.exponential("arrivals", 0.25) for _ in range(self.COUNT)]
+        direct = self.generator(11, "arrivals")
+        assert drawn == [direct.exponential(0.25) for _ in range(self.COUNT)]
+
+    def test_lognormal_matches_generator(self):
+        mean, cv = 0.0042, 0.8
+        sigma2 = math.log(1.0 + cv * cv)
+        mu, sigma = math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
+        streams = RandomStreams(11)
+        drawn = [streams.lognormal("service:vm-1", mean, cv) for _ in range(self.COUNT)]
+        direct = self.generator(11, "service:vm-1")
+        assert drawn == [direct.lognormal(mu, sigma) for _ in range(self.COUNT)]
+
+    def test_uniform_matches_generator_on_a_non_unit_range(self):
+        streams = RandomStreams(11)
+        low, high = 0.05, 0.3  # a control channel's delay:<target> draw
+        drawn = [streams.uniform("delay:h1", low, high) for _ in range(self.COUNT)]
+        direct = self.generator(11, "delay:h1")
+        assert drawn == [direct.uniform(low, high) for _ in range(self.COUNT)]
+
+    def test_interleaved_streams_keep_their_own_sequences(self):
+        streams = RandomStreams(3)
+        drawn = {"a": [], "b": []}
+        for index in range(self.COUNT):
+            name = "a" if index % 3 else "b"
+            drawn[name].append(streams.uniform(name, 0.0, 1.0))
+        for name, values in drawn.items():
+            direct = self.generator(3, name)
+            assert values == [direct.uniform(0.0, 1.0) for _ in values]
+
+    def test_uniform_rejects_an_inverted_range(self):
+        with pytest.raises(ValueError):
+            RandomStreams(1).uniform("u", 1.0, 0.5)
