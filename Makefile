@@ -103,7 +103,9 @@ test-rollout:
 # Regenerate the golden pins under tests/golden/ at seeds 1, 2 and 7:
 # faults.json (fault timelines, callbacks, validations and
 # faults-scenario output hashes) and des.json (shrunk Fig. 15/16
-# auto-scaler runs and a 300-tick service signature chain).
+# auto-scaler runs, a 300-tick service signature chain, the overload
+# storm in naive and robust mode, and an SDC-audited service chain
+# through the power-cap, vm-crash and overclock ops).
 # tests/test_golden_faults.py and tests/test_golden_des.py only read
 # them, so any behaviour change shows up as a reviewable diff of the JSON.
 golden:

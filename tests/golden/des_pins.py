@@ -12,7 +12,17 @@ exact ``repr``:
   ``phase_summary`` settles for 60 s, longer than a short phase, so the
   pins summarize each phase whole;
 * a robust ``ServiceCore`` over 300 ticks with a demand surge at tick
-  100: the chain signature every 50 ticks and the final counters.
+  100: the chain signature every 50 ticks and the final counters;
+* ``run_storm_mode`` from ``experiments/overload_storm.py`` in naive and
+  robust mode: the chain and timeline signatures and every scalar field
+  of the result. Naive fleets trip at Tjmax and restore; robust fleets
+  climb the brownout ladder to degraded serving and the emergency
+  ladder to EVACUATE or SHUTDOWN;
+* a 200-tick ``ServiceCore`` in each mode with the duplicate-execution
+  SDC audit on and one corrupting host, through a power cap that is
+  later cleared, a VM crash and an overclock disable/enable: the chain
+  signature every 50 ticks, the final counters and health counters, and
+  the timeline signature.
 
 ``tests/test_golden_des.py`` recomputes the pins and diffs them against
 the file; it never writes it. Regenerate (and review the diff) with
@@ -21,6 +31,7 @@ the file; it never writes it. Regenerate (and review the diff) with
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import platform
 import sys
@@ -30,7 +41,8 @@ import numpy as np
 
 from repro.autoscale.policy import ScalerMode
 from repro.experiments.autoscaling import FIG15_QPS_LEVELS, run_fig15, run_fig16_mode
-from repro.service.core import ServiceCore
+from repro.experiments.overload_storm import run_storm_mode
+from repro.service.core import ServiceConfig, ServiceCore
 
 GOLDEN_PATH = Path(__file__).with_name("des.json")
 SEEDS = (1, 2, 7)
@@ -48,6 +60,25 @@ FIG15_PHASE_S = 6.0
 SERVICE_TICKS = 300
 SERVICE_OPS = {100: {"op": "demand-surge", "factor": 2.5, "duration_s": 60.0}}
 SERVICE_STRIDE = 50
+
+#: Both service modes, for the storm and the ops chain.
+SERVICE_MODES = ("naive", "robust")
+
+#: The ops chain: an audited fleet with one corrupting host, and the
+#: operator ops that reach the power-cap, vm-crash and overclock paths.
+OPS_TICKS = 200
+OPS_CONFIG = ServiceConfig(
+    sdc_audit_fraction=0.1,
+    sdc_faulty_hosts=("h1",),
+    sdc_corruption_per_request=0.02,
+)
+OPS_SCHEDULE = {
+    20: {"op": "power-cap", "watts": 90.0},
+    60: {"op": "power-cap", "watts": None},
+    90: {"op": "vm-crash", "host": "h2"},
+    120: {"op": "overclock", "enable": False},
+    160: {"op": "overclock", "enable": True},
+}
 
 
 def versions() -> dict[str, str]:
@@ -103,17 +134,45 @@ def fig15_pin(seed: int) -> dict[str, object]:
     }
 
 
-def service_pin(seed: int) -> dict[str, object]:
-    """The robust service's signature chain and final counters."""
-    core = ServiceCore(seed, mode="robust")
+def _chain(core: ServiceCore, ticks: int, ops: dict[int, dict]) -> dict[str, str]:
+    """Tick ``core``, applying each op at its boundary; signature every stride."""
     signatures = {}
-    for boundary in range(SERVICE_TICKS):
-        if boundary in SERVICE_OPS:
-            core.apply_op(SERVICE_OPS[boundary])
+    for boundary in range(ticks):
+        if boundary in ops:
+            core.apply_op(ops[boundary])
         core.tick()
         if core.tick_index % SERVICE_STRIDE == 0:
             signatures[str(core.tick_index)] = core.signature
+    return signatures
+
+
+def service_pin(seed: int) -> dict[str, object]:
+    """The robust service's signature chain and final counters."""
+    core = ServiceCore(seed, mode="robust")
+    signatures = _chain(core, SERVICE_TICKS, SERVICE_OPS)
     return {"signatures": signatures, "counters": repr(core.counters)}
+
+
+def storm_pin(mode: str, seed: int) -> dict[str, str]:
+    """Every scalar field of one overload-storm run (the timeline by signature)."""
+    result = run_storm_mode(mode, seed)
+    return {
+        spec.name: repr(getattr(result, spec.name))
+        for spec in dataclasses.fields(result)
+        if spec.name != "timeline"
+    }
+
+
+def ops_pin(mode: str, seed: int) -> dict[str, object]:
+    """The audited ops chain: signatures, counters, health and timeline."""
+    core = ServiceCore(seed, OPS_CONFIG, mode)
+    signatures = _chain(core, OPS_TICKS, OPS_SCHEDULE)
+    return {
+        "signatures": signatures,
+        "counters": repr(core.counters),
+        "health": repr(core.health),
+        "timeline_signature": core.timeline.signature(),
+    }
 
 
 def compute() -> dict[str, object]:
@@ -125,6 +184,12 @@ def compute() -> dict[str, object]:
         },
         "fig15": {str(seed): fig15_pin(seed) for seed in SEEDS},
         "service": {str(seed): service_pin(seed) for seed in SEEDS},
+        "storm": {
+            mode: {str(seed): storm_pin(mode, seed) for seed in SEEDS} for mode in SERVICE_MODES
+        },
+        "ops": {
+            mode: {str(seed): ops_pin(mode, seed) for seed in SEEDS} for mode in SERVICE_MODES
+        },
     }
 
 

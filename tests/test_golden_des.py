@@ -2,8 +2,9 @@
 
 The auto-scaler experiments (Figs. 15-16, Table XI) and the live
 service run on the processor-sharing DES, so a change to the kernel,
-the RNG streams, the arrival source or the PS queue that moves one event
-or one draw moves these numbers. The pins hold every value as an exact
+the RNG streams, the arrival source, the PS queue or the service's
+admission, backlog and ladders that moves one event or one draw moves
+these numbers. The pins hold every value as an exact
 ``repr``: a refactor of that path must reproduce them bit for bit. A
 deliberate behaviour change regenerates the file with ``make golden`` so
 the diff is reviewed with the code.
@@ -19,9 +20,12 @@ from .golden.des_pins import (
     GOLDEN_PATH,
     MODES,
     SEEDS,
+    SERVICE_MODES,
     fig15_pin,
     fig16_pin,
+    ops_pin,
     service_pin,
+    storm_pin,
     versions,
 )
 
@@ -39,7 +43,15 @@ def _context() -> str:
 def test_golden_covers_every_mode_and_seed():
     assert GOLDEN["seeds"] == list(SEEDS)
     assert sorted(GOLDEN["fig16"]) == sorted(mode.value for mode in MODES)
-    for section in (*GOLDEN["fig16"].values(), GOLDEN["fig15"], GOLDEN["service"]):
+    for pins in (GOLDEN["storm"], GOLDEN["ops"]):
+        assert sorted(pins) == sorted(SERVICE_MODES)
+    for section in (
+        *GOLDEN["fig16"].values(),
+        GOLDEN["fig15"],
+        GOLDEN["service"],
+        *GOLDEN["storm"].values(),
+        *GOLDEN["ops"].values(),
+    ):
         assert sorted(section) == sorted(str(seed) for seed in SEEDS)
 
 
@@ -58,3 +70,17 @@ def test_fig15_phases_match_golden():
 def test_service_chain_matches_golden():
     for seed in SEEDS:
         assert service_pin(seed) == GOLDEN["service"][str(seed)], f"seed {seed}: {_context()}"
+
+
+@pytest.mark.parametrize("mode", SERVICE_MODES)
+def test_overload_storm_matches_golden(mode):
+    for seed in SEEDS:
+        expected = GOLDEN["storm"][mode][str(seed)]
+        assert storm_pin(mode, seed) == expected, f"{mode} seed {seed}: {_context()}"
+
+
+@pytest.mark.parametrize("mode", SERVICE_MODES)
+def test_audited_ops_chain_matches_golden(mode):
+    for seed in SEEDS:
+        expected = GOLDEN["ops"][mode][str(seed)]
+        assert ops_pin(mode, seed) == expected, f"{mode} seed {seed}: {_context()}"
