@@ -129,9 +129,14 @@ bench-smoke:
 
 # The end-to-end benchmark harness's own tests (~40 s): the pinned
 # workload digests, the sliced ramp and its traced twin, and the
-# tracer's wrappers over Simulator.at/after/every, EventQueue.push,
-# RandomStreams draws, LoadBalancer.route and ServerVM.submit, which
-# any change to those hot paths must keep working.
+# tracer's wrappers, which any change to those hot paths must keep
+# working. In the DES they wrap Simulator.at/after/every,
+# EventQueue.push, RandomStreams draws, LoadBalancer.route and
+# ServerVM.submit; in the service, AdmissionController.admit,
+# BoundedDeadlineQueue.push/pop/expire, QueueDelayController.observe,
+# BrownoutLadder.observe, Host.power_watts, TankFluidRC.set_heat/sample,
+# ActuationLink.heartbeat, CommandBus.send, RunJournal.record and
+# FaultTimeline.record. Requests must keep flowing through them.
 bench-test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest bench -q
 

@@ -58,20 +58,25 @@ class TokenBucket:
         if self.level < 0:
             self.level = self.burst  # start full: cold services accept bursts
 
-    def _refill(self, now_s: float) -> None:
-        elapsed = now_s - self._last_s
-        if elapsed > 0:
-            self.level = min(self.burst, self.level + elapsed * self.rate_per_s)
-        self._last_s = max(self._last_s, now_s)
-
     def take(self, now_s: float, tokens: float = 1.0) -> bool:
-        """Consume ``tokens`` at ``now_s`` if the bucket can afford them."""
+        """Consume ``tokens`` at ``now_s`` if the bucket can afford them.
+
+        Time only moves forward: a ``now_s`` at or before the last
+        refill adds nothing and leaves the refill clock where it was.
+        """
         if tokens <= 0:
             raise ConfigurationError("token takes must be positive")
-        self._refill(now_s)
-        if self.level + 1e-12 >= tokens:
-            self.level -= tokens
+        level = self.level
+        elapsed = now_s - self._last_s
+        if elapsed > 0:
+            level += elapsed * self.rate_per_s
+            burst = self.burst
+            level = level if level < burst else burst  # min(burst, level)
+            self._last_s = now_s
+        if level + 1e-12 >= tokens:
+            self.level = level - tokens
             return True
+        self.level = level
         return False
 
 
@@ -133,12 +138,14 @@ class AdmissionController:
 
     def admit(self, now_s: float, klass: PriorityClass) -> str:
         """Decide one arrival: ``"admitted"``, ``"gated"``, or ``"throttled"``."""
-        if klass not in self._buckets:
+        bucket = self._buckets.get(klass)
+        if bucket is None:
             raise ConfigurationError(f"no admission policy for class {klass!r}")
-        if self._priority_floor is not None and klass > self._priority_floor:
+        floor = self._priority_floor
+        if floor is not None and klass > floor:
             self.gated += 1
             return "gated"
-        if not self._buckets[klass].take(now_s):
+        if not bucket.take(now_s):
             self.throttled += 1
             return "throttled"
         self.admitted += 1

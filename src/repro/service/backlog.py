@@ -21,19 +21,19 @@ the fleet has capacity; three mechanisms keep the wait honest:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigurationError
 from .admission import PriorityClass
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One admitted unit of work flowing through the service.
 
     ``deadline_s`` is absolute simulated time; ``demand_scale``
     multiplies the service demand drawn at dispatch (brownout's
     "degraded responses" rung serves a cheaper variant by lowering it).
+    An immutable tuple: every admitted request builds one, positionally.
     """
 
     request_id: int
@@ -59,13 +59,19 @@ class BoundedDeadlineQueue:
         self._queues: dict[PriorityClass, deque[Request]] = {
             klass: deque() for klass in PriorityClass
         }
+        #: The same deques, most important class first. Every mutation
+        #: below works in place, so this tuple never goes stale.
+        self._ordered = tuple(self._queues[klass] for klass in sorted(self._queues))
         self.shed_overflow = 0
         self.shed_expired = 0
         self.shed_brownout = 0
         self.max_depth = 0
 
     def __len__(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        return sum(map(len, self._ordered))
+
+    def __bool__(self) -> bool:
+        return any(self._ordered)
 
     @property
     def depth(self) -> int:
@@ -73,11 +79,13 @@ class BoundedDeadlineQueue:
 
     def push(self, request: Request) -> bool:
         """Enqueue ``request``; False (and a shed count) when full."""
-        if len(self) >= self.capacity:
+        depth = len(self)
+        if depth >= self.capacity:
             self.shed_overflow += 1
             return False
         self._queues[request.klass].append(request)
-        self.max_depth = max(self.max_depth, len(self))
+        if depth >= self.max_depth:
+            self.max_depth = depth + 1
         return True
 
     def expire(self, now_s: float) -> int:
@@ -107,11 +115,11 @@ class BoundedDeadlineQueue:
         dispatching it would burn server capacity on work that is
         already lost. Such requests are shed as expired instead.
         """
-        for klass in sorted(self._queues):
-            queue = self._queues[klass]
+        horizon = now_s + slack_s
+        for queue in self._ordered:
             while queue:
                 request = queue.popleft()
-                if request.deadline_s <= now_s + slack_s:
+                if request.deadline_s <= horizon:
                     self.shed_expired += 1
                     continue
                 return request

@@ -33,11 +33,11 @@ Two modes share every line of workload and physics:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
+from operator import attrgetter
 from typing import Mapping
 
 from ..cluster.host import Host
@@ -284,6 +284,17 @@ class ServiceCore:
             self._lb.attach(server)
         self._placed_vms = {index: 0 for index in range(cfg.hosts)}
 
+        # Per-class tables the request path reads instead of rebuilding
+        # them per arrival: each class's deadline, and the classes that
+        # carry traffic with their share, in priority order.
+        policies = cfg.policies()
+        self._class_deadline_s = {klass: policy.deadline_s for klass, policy in policies.items()}
+        self._class_shares = tuple(
+            (klass, cfg.class_mix[int(klass)])
+            for klass in sorted(PriorityClass)
+            if cfg.class_mix[int(klass)] > 0
+        )
+
         # Thermal plant shared by the fleet.
         self._tank = TankFluidRC(
             FC_3284,
@@ -305,7 +316,7 @@ class ServiceCore:
         self._link: ActuationLink | None = None
         self._governor = PowerCapGovernor()
         if mode == "robust":
-            self._admission = AdmissionController(cfg.policies())
+            self._admission = AdmissionController(policies)
             self._queue = BoundedDeadlineQueue(capacity=cfg.queue_capacity)
             self._brownout = BrownoutLadder(
                 config=cfg.brownout, counters=self.counters, timeline=self.timeline
@@ -348,6 +359,8 @@ class ServiceCore:
         self._chain = hashlib.sha256(
             f"service|{seed}|{mode}|{cfg.tick_s!r}|{cfg.hosts}".encode()
         ).hexdigest()
+        #: Every ServiceCounters field in declaration order, for the chain.
+        self._counter_values = attrgetter(*(spec.name for spec in fields(self.counters)))
         self.history: deque[TickSample] = deque(maxlen=cfg.history_ticks)
 
         if mode == "naive":
@@ -490,12 +503,10 @@ class ServiceCore:
         # Arrivals for this tick, scheduled as simulation events so
         # admission and dispatch happen at true arrival times.
         rate = self._trace.rate_rps(start) * self._surge_factor_value
-        for klass in sorted(PriorityClass):
-            share = cfg.class_mix[int(klass)]
-            if share <= 0:
-                continue
+        at, on_arrival = self._sim.at, self._on_arrival
+        for klass, share in self._class_shares:
             for time_s in self._arrivals[klass].arrivals(start, cfg.tick_s, rate * share):
-                self._sim.at(time_s, partial(self._on_arrival, klass, time_s), name="arrival")
+                at(time_s, partial(on_arrival, klass, time_s), name="arrival")
         self._sim.run(until=start + cfg.tick_s)
         now = self._sim.now
 
@@ -523,10 +534,6 @@ class ServiceCore:
         self._sync_counters()
 
         sample = self._make_sample(now, signal, margin)
-        self._chain = hashlib.sha256(
-            (self._chain + self._signature_line(sample)).encode()
-        ).hexdigest()
-        sample = dataclasses.replace(sample, signature=self._chain)
         self.history.append(sample)
         return sample
 
@@ -543,15 +550,12 @@ class ServiceCore:
     # ------------------------------------------------------------------
     # Arrival → admission → backlog → dispatch
     # ------------------------------------------------------------------
-    def _deadline_for(self, klass: PriorityClass) -> float:
-        return self.config.policies()[klass].deadline_s
-
     def _on_arrival(self, klass: PriorityClass, time_s: float) -> None:
         self.counters.offered += 1
         if self.mode == "naive":
             # No admission, no queue, no bounds: dispatch immediately.
             self.counters.admitted += 1
-            deadline = time_s + self._deadline_for(klass)
+            deadline = time_s + self._class_deadline_s[klass]
             vm = self._lb.route(time_s, on_complete=self._completion_hook(deadline))
             if vm is None:
                 self.counters.lost_to_trips += 1
@@ -564,12 +568,7 @@ class ServiceCore:
         if verdict != "admitted":
             return
         self._request_seq += 1
-        request = Request(
-            request_id=self._request_seq,
-            klass=klass,
-            arrival_s=time_s,
-            deadline_s=time_s + self._deadline_for(klass),
-        )
+        request = Request(self._request_seq, klass, time_s, time_s + self._class_deadline_s[klass])
         if self._queue.push(request):
             self._drain()
 
@@ -629,14 +628,14 @@ class ServiceCore:
                 self.counters.completed_ok += 1
             else:
                 self.counters.completed_late += 1
-            if self.mode == "robust":
+            if self._queue:  # robust mode with work waiting
                 self._drain()
 
         return done
 
     def _drain(self) -> None:
         """Dispatch queued work while the fleet has in-flight headroom."""
-        if self._queue is None:
+        if not self._queue:  # naive mode, or nothing waiting
             return
         now = self._sim.now
         # Only the routes below change the fleet's in-flight count here:
@@ -670,22 +669,20 @@ class ServiceCore:
         """Integrate tank thermals; return the worst margin (None = no hosts)."""
         cfg = self.config
         total = 0.0
-        utilizations: dict[str, float] = {}
+        watts_by_host: dict[str, float] = {}
         for host, server in zip(self._hosts, self._server_vms):
             if host.failed:
                 continue
-            utilization = min(1.0, server.in_flight / server.vcores)
-            utilizations[host.host_id] = utilization
-            total += host.power_watts(utilization)
+            watts = host.power_watts(min(1.0, server.in_flight / server.vcores))
+            watts_by_host[host.host_id] = watts
+            total += watts
         self._fleet_power_watts = total
         self._tank.set_heat(now, total)
         self._tank.sample(now)
         reference = self._tank.saturation_c + self._tank.reference_offset_c
+        theta = cfg.theta_c_per_w
         self._tj_by_host = {
-            host.host_id: reference
-            + cfg.theta_c_per_w * host.power_watts(utilizations[host.host_id])
-            for host in self._hosts
-            if not host.failed
+            host_id: reference + theta * watts for host_id, watts in watts_by_host.items()
         }
         if not self._tj_by_host:
             return None
@@ -1001,40 +998,43 @@ class ServiceCore:
     def _make_sample(
         self, now: float, delay_signal_s: float, margin: float | None
     ) -> TickSample:
+        """Chain this tick into the signature and return its sample."""
         counters = self.counters
-        shed_total = (
-            counters.shed_low_priority + counters.shed_expired + counters.shed_overflow
+        tick = self._tick_index
+        queue_depth = self.queue_depth
+        in_flight = self.in_flight
+        brownout_stage = self.brownout_stage.name
+        emergency_stage = self.emergency_stage.name
+        fluid_temp_c = self._tank.fluid_temp_c
+        fleet_power_watts = self._fleet_power_watts
+        boost_active = self._boost_active
+        line = (
+            f"{tick}|{now!r}|{'|'.join(map(str, self._counter_values(counters)))}"
+            f"|{queue_depth}|{in_flight}|{delay_signal_s!r}|{brownout_stage}"
+            f"|{emergency_stage}|{fluid_temp_c!r}|{margin!r}|{fleet_power_watts!r}"
+            f"|{boost_active}|{len(self.timeline)}"
         )
+        self._chain = hashlib.sha256((self._chain + line).encode()).hexdigest()
         return TickSample(
-            tick=self._tick_index,
+            tick=tick,
             time_s=now,
             offered=counters.offered,
             admitted=counters.admitted,
             completed_ok=counters.completed_ok,
             completed_late=counters.completed_late,
-            shed_total=shed_total,
-            queue_depth=self.queue_depth,
-            in_flight=self.in_flight,
+            shed_total=(
+                counters.shed_low_priority + counters.shed_expired + counters.shed_overflow
+            ),
+            queue_depth=queue_depth,
+            in_flight=in_flight,
             delay_signal_s=delay_signal_s,
-            brownout_stage=self.brownout_stage.name,
-            emergency_stage=self.emergency_stage.name,
-            fluid_temp_c=self._tank.fluid_temp_c,
+            brownout_stage=brownout_stage,
+            emergency_stage=emergency_stage,
+            fluid_temp_c=fluid_temp_c,
             worst_margin_c=margin,
-            fleet_power_watts=self._fleet_power_watts,
-            boost_active=self._boost_active,
-            signature="",  # chained in by tick()
-        )
-
-    def _signature_line(self, sample: TickSample) -> str:
-        counters = "|".join(
-            str(getattr(self.counters, spec.name)) for spec in fields(self.counters)
-        )
-        return (
-            f"{sample.tick}|{sample.time_s!r}|{counters}|{sample.queue_depth}"
-            f"|{sample.in_flight}|{sample.delay_signal_s!r}|{sample.brownout_stage}"
-            f"|{sample.emergency_stage}|{sample.fluid_temp_c!r}"
-            f"|{sample.worst_margin_c!r}|{sample.fleet_power_watts!r}"
-            f"|{sample.boost_active}|{len(self.timeline)}"
+            fleet_power_watts=fleet_power_watts,
+            boost_active=boost_active,
+            signature=self._chain,
         )
 
     def snapshot(self) -> dict:

@@ -312,7 +312,10 @@ class LoadBalancer:
     @property
     def in_flight(self) -> int:
         """Requests currently in service across every attached VM."""
-        return sum(vm.in_flight for vm in self._vms)
+        total = 0
+        for vm in self._vms:
+            total += vm.in_flight
+        return total
 
 
 __all__ = [

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, JournalError
 from repro.service import (
@@ -20,6 +22,12 @@ from repro.service.admission import ClassPolicy
 from repro.service.brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
 from repro.sim.random import RandomStreams
 from repro.workloads.diurnal import ArrivalProcess, DiurnalTrace
+
+
+#: Hypothesis phases for the model tests below. The explain phase runs
+#: for minutes on a failing op list; without it a failure still shrinks
+#: to a minimal example in seconds.
+_SHRINK_NO_EXPLAIN = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 def _policies(rate=10.0, burst=5, deadline=1.0):
@@ -56,6 +64,59 @@ class TestAdmission:
         assert verdicts.count("throttled") == 3
         assert controller.admitted == 1
         assert controller.throttled == 3
+
+    def test_non_positive_takes_and_unknown_classes_rejected(self):
+        bucket = TokenBucket(rate_per_s=1.0, burst=3)
+        for tokens in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                bucket.take(0.0, tokens)
+        controller = AdmissionController({PriorityClass.CRITICAL: ClassPolicy(1.0, 1.0, 1.0)})
+        with pytest.raises(ConfigurationError):
+            controller.admit(0.0, PriorityClass.BATCH)
+
+
+class _SeparateRefillBucket:
+    """Reference token bucket: refill to ``now``, then take, as two steps."""
+
+    def __init__(self, rate_per_s: float, burst: float) -> None:
+        self.rate_per_s = rate_per_s
+        self.burst = burst
+        self.level = burst
+        self._last_s = 0.0
+
+    def _refill(self, now_s: float) -> None:
+        elapsed = now_s - self._last_s
+        if elapsed > 0:
+            self.level = min(self.burst, self.level + elapsed * self.rate_per_s)
+        self._last_s = max(self._last_s, now_s)
+
+    def take(self, now_s: float, tokens: float = 1.0) -> bool:
+        self._refill(now_s)
+        if self.level + 1e-12 >= tokens:
+            self.level -= tokens
+            return True
+        return False
+
+
+@settings(max_examples=200, deadline=None, phases=_SHRINK_NO_EXPLAIN)
+@given(
+    rate=st.floats(min_value=0.01, max_value=500.0),
+    burst=st.floats(min_value=0.5, max_value=80.0),
+    takes=st.lists(
+        st.tuples(
+            # Times jump back as well as forward.
+            st.floats(min_value=-5.0, max_value=60.0),
+            st.one_of(st.just(1.0), st.floats(min_value=1e-9, max_value=10.0)),
+        ),
+        max_size=60,
+    ),
+)
+def test_token_bucket_matches_separate_refill_reference(rate, burst, takes):
+    bucket = TokenBucket(rate_per_s=rate, burst=burst)
+    reference = _SeparateRefillBucket(rate, burst)
+    for now_s, tokens in takes:
+        assert bucket.take(now_s, tokens) == reference.take(now_s, tokens)
+        assert bucket.level == reference.level
 
 
 class TestBacklog:
@@ -102,6 +163,129 @@ class TestBacklog:
         queue.push(self._request(1, PriorityClass.BATCH, 1.0, 99.0))
         queue.push(self._request(2, PriorityClass.CRITICAL, 3.0, 99.0))
         assert queue.head_age_s(5.0) == pytest.approx(4.0)
+
+    def test_request_is_an_immutable_record(self):
+        request = Request(7, PriorityClass.BATCH, 1.0, 2.5)
+        assert request == Request(
+            request_id=7, klass=PriorityClass.BATCH, arrival_s=1.0, deadline_s=2.5
+        )
+        assert request.demand_scale == 1.0
+        assert Request._fields == (
+            "request_id",
+            "klass",
+            "arrival_s",
+            "deadline_s",
+            "demand_scale",
+        )
+        with pytest.raises(AttributeError):
+            request.deadline_s = 9.0  # type: ignore[misc]
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ConfigurationError):
+            BoundedDeadlineQueue(capacity=0)
+
+
+class _ListQueueModel:
+    """Reference backlog: one plain list per class, scanned in class order."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.queues: dict[PriorityClass, list[Request]] = {k: [] for k in PriorityClass}
+        self.shed_overflow = 0
+        self.shed_expired = 0
+        self.shed_brownout = 0
+        self.max_depth = 0
+
+    def depth(self) -> int:
+        return sum(len(queue) for queue in self.queues.values())
+
+    def push(self, request: Request) -> bool:
+        if self.depth() >= self.capacity:
+            self.shed_overflow += 1
+            return False
+        self.queues[request.klass].append(request)
+        self.max_depth = max(self.max_depth, self.depth())
+        return True
+
+    def pop(self, now_s: float, slack_s: float) -> Request | None:
+        for klass in sorted(PriorityClass):
+            queue = self.queues[klass]
+            while queue:
+                request = queue.pop(0)
+                if request.deadline_s <= now_s + slack_s:
+                    self.shed_expired += 1
+                    continue
+                return request
+        return None
+
+    def expire(self, now_s: float) -> int:
+        dropped = 0
+        for klass, queue in self.queues.items():
+            kept = [r for r in queue if r.deadline_s > now_s]
+            dropped += len(queue) - len(kept)
+            self.queues[klass] = kept
+        self.shed_expired += dropped
+        return dropped
+
+    def shed_class(self, klass: PriorityClass) -> int:
+        dropped = len(self.queues[klass])
+        self.queues[klass] = []
+        self.shed_brownout += dropped
+        return dropped
+
+    def head_age_s(self, now_s: float) -> float:
+        heads = [queue[0].arrival_s for queue in self.queues.values() if queue]
+        return max(0.0, now_s - min(heads)) if heads else 0.0
+
+
+_CLASSES = st.sampled_from(list(PriorityClass))
+_STEP = st.floats(min_value=0.0, max_value=0.5)
+_QUEUE_OPS = st.one_of(
+    # (kind, clock advance, class, arrival lag, deadline offset)
+    st.tuples(
+        st.just("push"),
+        _STEP,
+        _CLASSES,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-0.2, max_value=2.0),
+    ),
+    # (kind, clock advance, slack)
+    st.tuples(st.just("pop"), _STEP, st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+    st.tuples(st.just("expire"), _STEP),
+    st.tuples(st.just("shed"), _STEP, _CLASSES),
+)
+
+
+@settings(max_examples=200, deadline=None, phases=_SHRINK_NO_EXPLAIN)
+@given(capacity=st.integers(min_value=1, max_value=8), ops=st.lists(_QUEUE_OPS, max_size=80))
+def test_backlog_matches_list_per_class_model(capacity, ops):
+    queue = BoundedDeadlineQueue(capacity=capacity)
+    model = _ListQueueModel(capacity)
+    now_s = 0.0
+    for seq, (kind, step, *args) in enumerate(ops):
+        now_s += step
+        if kind == "push":
+            klass, lag, offset = args
+            arrival_s = now_s - lag
+            request = Request(seq, klass, arrival_s, arrival_s + offset)
+            assert queue.push(request) == model.push(request)
+        elif kind == "pop":
+            (slack_s,) = args
+            assert queue.pop(now_s, slack_s) is model.pop(now_s, slack_s)
+        elif kind == "expire":
+            assert queue.expire(now_s) == model.expire(now_s)
+        else:
+            (klass,) = args
+            assert queue.shed_class(klass) == model.shed_class(klass)
+        assert (queue.shed_overflow, queue.shed_expired, queue.shed_brownout) == (
+            model.shed_overflow,
+            model.shed_expired,
+            model.shed_brownout,
+        )
+        assert len(queue) == queue.depth == model.depth()
+        assert bool(queue) == (model.depth() > 0)
+        assert queue.max_depth == model.max_depth
+        assert queue.head_age_s(now_s) == model.head_age_s(now_s)
 
 
 class TestDelayController:

@@ -144,9 +144,29 @@ class TestLatencyRecorder:
         assert recorder.dropped_warmup_samples == 1
         assert recorder.mean() == 1.0
 
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_summary_equals_the_single_statistics(self, latencies):
+        recorder = LatencyRecorder("test")
+        recorder.extend(latencies)
+        assert recorder.summary() == {
+            "count": float(len(latencies)),
+            "mean": recorder.mean(),
+            "p50": recorder.p50(),
+            "p95": recorder.p95(),
+            "p99": recorder.p99(),
+        }
+
     def test_empty_recorder_raises(self):
         with pytest.raises(ConfigurationError):
             LatencyRecorder().mean()
+        with pytest.raises(ConfigurationError, match="no latency samples"):
+            LatencyRecorder("empty").summary()
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigurationError):
