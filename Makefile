@@ -102,15 +102,20 @@ test-rollout:
 
 # Regenerate the golden pins under tests/golden/ at seeds 1, 2 and 7:
 # faults.json (fault timelines, callbacks, validations and
-# faults-scenario output hashes) and des.json (shrunk Fig. 15/16
+# faults-scenario output hashes), des.json (shrunk Fig. 15/16
 # auto-scaler runs, a 300-tick service signature chain, the overload
 # storm in naive and robust mode, and an SDC-audited service chain
-# through the power-cap, vm-crash and overclock ops).
-# tests/test_golden_faults.py and tests/test_golden_des.py only read
-# them, so any behaviour change shows up as a reviewable diff of the JSON.
+# through the power-cap, vm-crash and overclock ops) and ladders.json
+# (every field of both arms of the degraded-telemetry, partition,
+# envelope-rollout, oversubscription, SDC-hunt and heat-wave
+# comparisons, timelines by signature).
+# tests/test_golden_faults.py, tests/test_golden_des.py and
+# tests/test_golden_ladders.py only read them, so any behaviour change
+# shows up as a reviewable diff of the JSON.
 golden:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/golden/faults_pins.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/golden/des_pins.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/golden/ladders_pins.py
 
 lint:
 	ruff check src tests benchmarks

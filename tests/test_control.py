@@ -1,13 +1,17 @@
 """Tests for the control plane: retry policy, breaker, channel, bus,
 dead-man lease, and the reconciliation loop."""
 
+import inspect
+
 import pytest
 
 from repro.control import (
+    Ack,
     ActuationLink,
     BreakerState,
     ChannelConfig,
     CircuitBreaker,
+    Command,
     CommandBus,
     CommandKind,
     HostAgent,
@@ -15,9 +19,12 @@ from repro.control import (
     Reconciler,
     RetryPolicy,
 )
+from repro.control.bus import CMD_FAILED
+from repro.control.channel import CMD_LOST
 from repro.control.retry import COMMAND_RETRIES, ENGINE_POOL_RETRIES
 from repro.engine import SweepEngine
 from repro.errors import ConfigurationError, ControlError
+from repro.faults.timeline import FaultTimeline
 from repro.sim import Simulator
 from repro.sim.random import split_seed
 from repro.telemetry.counters import ControlPlaneCounters
@@ -511,6 +518,161 @@ class TestCommandBus:
         sim.run(until=45.0)
         assert bus.open_breakers == ()
         assert agent.frequency_ghz == pytest.approx(4.1)
+
+
+# ----------------------------------------------------------------------
+# The wire: loss details on the timeline, and the message shapes
+# ----------------------------------------------------------------------
+def make_traced_bus(config=None):
+    """A one-host bus whose channel records its losses on a timeline."""
+    sim = Simulator(seed=1)
+    timeline = FaultTimeline()
+    channel = LossyChannel(sim, seed=1, config=config, timeline=timeline)
+    bus = CommandBus(
+        sim, channel, retry_policy=RetryPolicy(max_attempts=1), seed=1, timeline=timeline
+    )
+    bus.attach(HostAgent(sim, "h0", channel, base_frequency_ghz=3.4, counters=bus.counters))
+    return sim, channel, bus, timeline
+
+
+def _losses(timeline):
+    return [(event.time_s, event.detail) for event in timeline.of_kind(CMD_LOST)]
+
+
+#: Every message takes exactly one second to cross the link.
+ONE_SECOND = ChannelConfig(min_delay_s=1.0, max_delay_s=1.0)
+
+
+class TestLossDetails:
+    def test_partitioned_at_send(self):
+        sim, channel, bus, timeline = make_traced_bus()
+        channel.partition("h0", duration_s=10.0)
+        bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)
+        sim.run(until=5.0)
+        assert _losses(timeline) == [(0.0, "partitioned set-frequency=4.1#1")]
+
+    def test_dropped_at_send(self):
+        sim, channel, bus, timeline = make_traced_bus()
+        channel.set_drop("h0", 1.0)
+        bus.send(CommandKind.HEARTBEAT, "h0")
+        bus.send(CommandKind.DEPLOY_VM, "h0", "vm-7")
+        sim.run(until=5.0)
+        assert _losses(timeline) == [
+            (0.0, "dropped heartbeat#1"),
+            (0.0, "dropped deploy-vm=vm-7#2"),
+        ]
+
+    def test_lost_in_flight(self):
+        sim, channel, bus, timeline = make_traced_bus(ONE_SECOND)
+        bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)
+        sim.after(0.5, lambda: channel.partition("h0", duration_s=10.0))
+        sim.run(until=5.0)
+        assert _losses(timeline) == [(1.0, "in-flight set-frequency=4.1#1")]
+
+    def test_lost_duplicate(self):
+        sim, channel, bus, timeline = make_traced_bus(ONE_SECOND)
+        channel.set_duplicate("h0", 0.99)
+        bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)
+        sim.after(0.5, lambda: channel.partition("h0", duration_s=10.0))
+        sim.run(until=5.0)
+        assert _losses(timeline) == [
+            (1.0, "in-flight set-frequency=4.1#1"),
+            (1.0, "in-flight dup set-frequency=4.1#1"),
+        ]
+
+    def test_lost_acks(self):
+        # The command lands at t=1; its ack is dropped at the host's send.
+        sim, channel, bus, timeline = make_traced_bus(ONE_SECOND)
+        bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)
+        sim.after(0.5, lambda: channel.set_drop("h0", 1.0))
+        sim.run(until=5.0)
+        assert _losses(timeline) == [(1.0, "dropped ack bus:h0:set-frequency:1")]
+        # The next ack leaves at t=6 and dies mid-air at t=7.
+        channel.clear_drop("h0")
+        bus.send(CommandKind.HEARTBEAT, "h0")
+        sim.after(1.5, lambda: channel.partition("h0", duration_s=10.0))
+        sim.run(until=10.0)
+        assert _losses(timeline)[1:] == [(7.0, "in-flight ack bus:h0:heartbeat:2")]
+
+    def test_failed_command_detail(self):
+        sim, channel, bus, timeline = make_traced_bus()
+        channel.partition("h0", duration_s=10.0)
+        bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)
+        sim.run(until=5.0)
+        assert [(e.time_s, e.detail) for e in timeline.of_kind(CMD_FAILED)] == [
+            (1.0, "set-frequency=4.1#1 ack-timeout after 1 attempt(s)")
+        ]
+
+
+class TestMessageShape:
+    def test_command_fields_order_and_defaults(self):
+        parameters = inspect.signature(Command).parameters
+        assert [(name, p.default) for name, p in parameters.items()] == [
+            ("kind", inspect.Parameter.empty),
+            ("target", inspect.Parameter.empty),
+            ("idempotency_key", inspect.Parameter.empty),
+            ("sequence", inspect.Parameter.empty),
+            ("payload", None),
+            ("issued_at_s", 0.0),
+        ]
+        command = Command(CommandKind.SET_FREQUENCY, "h0", "k1", 3)
+        assert (command.payload, command.issued_at_s) == (None, 0.0)
+        assert command == Command(
+            kind=CommandKind.SET_FREQUENCY, target="h0", idempotency_key="k1", sequence=3
+        )
+        assert hash(command) == hash(Command(CommandKind.SET_FREQUENCY, "h0", "k1", 3))
+
+    def test_ack_fields_order_and_defaults(self):
+        parameters = inspect.signature(Ack).parameters
+        assert [(name, p.default) for name, p in parameters.items()] == [
+            ("idempotency_key", inspect.Parameter.empty),
+            ("target", inspect.Parameter.empty),
+            ("applied_at_s", inspect.Parameter.empty),
+            ("frequency_ghz", 0.0),
+            ("detail", ""),
+        ]
+        ack = Ack("k1", "h0", 2.5)
+        assert (ack.frequency_ghz, ack.detail) == (0.0, "")
+        assert ack == Ack(idempotency_key="k1", target="h0", applied_at_s=2.5)
+
+    def test_messages_are_immutable(self):
+        command = Command(CommandKind.HEARTBEAT, "h0", "k1", 1)
+        ack = Ack("k1", "h0", 0.0)
+        for message, field_name, value in (
+            (command, "sequence", 2),
+            (command, "payload", 4.1),
+            (ack, "frequency_ghz", 4.1),
+            (ack, "detail", "x"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(message, field_name, value)
+
+    def test_describe(self):
+        assert Command(CommandKind.HEARTBEAT, "h0", "k", 3).describe() == "heartbeat#3"
+        assert (
+            Command(CommandKind.SET_FREQUENCY, "h0", "k", 4, 4.1).describe()
+            == "set-frequency=4.1#4"
+        )
+        assert (
+            Command(CommandKind.DEPLOY_VM, "h0", "k", 5, "vm-1").describe()
+            == "deploy-vm=vm-1#5"
+        )
+        assert (
+            Command(CommandKind.RETIRE_VM, "h0", "k", 6, payload="vm-1").describe()
+            == "retire-vm=vm-1#6"
+        )
+
+    def test_send_builds_the_keyed_command(self):
+        sim, _, bus, _ = make_traced_bus()
+        sim.run(until=2.5)
+        command = bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)
+        assert command == Command(
+            CommandKind.SET_FREQUENCY, "h0", "bus:h0:set-frequency:1", 1, 4.1, 2.5
+        )
+        acks = []
+        bus.send(CommandKind.HEARTBEAT, "h0", on_applied=acks.append)
+        sim.run(until=3.0)
+        assert acks == [Ack("bus:h0:heartbeat:2", "h0", 2.5, 4.1, "alive")]
 
 
 class TestDeadManLease:

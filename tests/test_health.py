@@ -9,7 +9,11 @@ service-core audit wiring (which must be provably inert at defaults).
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InjectionError
 from repro.faults import (
@@ -24,6 +28,7 @@ from repro.health import (
     DriftDetector,
     EwmaRateDetector,
     FleetHeterogeneity,
+    MachineCheckEvent,
     MachineCheckStream,
     ScreeningScheduler,
     SdcAuditor,
@@ -35,6 +40,7 @@ from repro.reliability.governor import OverclockGuard
 from repro.reliability.stability import StabilityModel
 from repro.service import ServiceConfig, ServiceCore
 from repro.sim import Simulator
+from repro.sim.random import RandomStreams, split_seed
 
 #: A loud, steep model so unit tests see events in few windows.
 MODEL = StabilityModel(
@@ -237,6 +243,111 @@ class TestMachineCheckStream:
             stream.inject_burst("zz", 3)
         with pytest.raises(ConfigurationError):
             stream.inject_burst("a", 0)
+
+
+def _reference_window(part, streams, bursts, cumulative, host_id, time_hours,
+                      window_hours, ratio, errors_per_crash):
+    """One window sampled from the part's public rate methods, one call each."""
+    events = []
+    end = time_hours + window_hours
+    ce_rate = part.correctable_error_rate_per_hour(ratio, time_hours)
+    ce_gen = streams.get(f"ce:{host_id}")
+    ce_count = int(ce_gen.poisson(ce_rate * window_hours)) if ce_rate > 0 else 0
+    burst = bursts.pop(host_id, 0)
+    ce_count += burst
+    if ce_count > 0:
+        cumulative[host_id] += ce_count
+        detail = f"burst={burst}" if burst else ""
+        events.append(MachineCheckEvent(end, host_id, "ce", count=ce_count, detail=detail))
+    sdc_rate = part.sdc_rate_per_hour(ratio, time_hours)
+    sdc_gen = streams.get(f"sdc:{host_id}")
+    sdc_count = int(sdc_gen.poisson(sdc_rate * window_hours)) if sdc_rate > 0 else 0
+    if sdc_count > 0:
+        events.append(MachineCheckEvent(end, host_id, "sdc", count=sdc_count))
+    crash_gen = streams.get(f"crash:{host_id}")
+    if part.crashes(ratio, time_hours):
+        events.append(MachineCheckEvent(end, host_id, "crash", detail="beyond crash margin"))
+    else:
+        crash_rate = part.crash_rate_per_hour(ratio, time_hours, errors_per_crash)
+        if crash_rate > 0:
+            p_crash = -math.expm1(-crash_rate * window_hours)
+            if float(crash_gen.uniform(0.0, 1.0)) < p_crash:
+                events.append(MachineCheckEvent(end, host_id, "crash"))
+    return events
+
+
+_PART = st.fixed_dictionaries(
+    {
+        "margin_offset": st.floats(-0.04, 0.04),
+        "drift_rate_per_khour": st.floats(0.0, 0.3),
+        "drift_onset_hours": st.floats(0.0, 40.0),
+        "injected_drift": st.sampled_from([0.0, 0.01, 0.05]),
+        "sdc_onset": st.floats(0.005, 0.06),
+        "sdc_per_error": st.floats(0.0, 0.2),
+    }
+)
+
+#: Ratios whose shifted value lands at or below zero, inside the SDC
+#: band (and the ramp around it), and at or past the crash margin.
+_RATIO = st.one_of(
+    st.floats(-0.3, 0.05),
+    st.floats(1.2, 1.34),
+    st.floats(1.34, 1.6),
+)
+
+_STEP = st.one_of(
+    st.tuples(st.just("burst"), st.sampled_from("ab"), st.integers(1, 40)),
+    st.tuples(st.just("window"), st.sampled_from("ab"), st.floats(0.05, 12.0), _RATIO),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    parts=st.tuples(_PART, _PART),
+    background=st.sampled_from([0.0, 0.0127]),
+    errors_per_crash=st.sampled_from([5.0, 500.0]),
+    steps=st.lists(_STEP, min_size=1, max_size=25),
+)
+def test_sample_window_matches_the_public_rate_methods(
+    seed, parts, background, errors_per_crash, steps
+):
+    """Events, MCA counters and every stream's next draw equal the
+    reference built from ``SiliconPart``'s rate methods."""
+    model = StabilityModel(
+        stable_margin=MODEL.stable_margin,
+        crash_margin=MODEL.crash_margin,
+        base_error_rate_per_hour=MODEL.base_error_rate_per_hour,
+        ramp_width=MODEL.ramp_width,
+        background_error_rate_per_hour=background,
+    )
+    fleet = {
+        host: SiliconPart(host, nominal=model, **spec)
+        for host, spec in zip("ab", parts)
+    }
+    stream = MachineCheckStream(seed, fleet, errors_per_crash=errors_per_crash)
+    streams = RandomStreams(split_seed(seed, "mce-stream"))
+    bursts: dict[str, int] = {}
+    cumulative = {host: 0 for host in fleet}
+    clock = {host: 0.0 for host in fleet}
+    for step in steps:
+        if step[0] == "burst":
+            _, host, count = step
+            stream.inject_burst(host, count)
+            bursts[host] = bursts.get(host, 0) + count
+            continue
+        _, host, window, ratio = step
+        expected = _reference_window(
+            fleet[host], streams, bursts, cumulative, host, clock[host], window,
+            ratio, errors_per_crash,
+        )
+        assert stream.sample_window(host, clock[host], window, ratio) == expected
+        clock[host] += window
+    for host in fleet:
+        assert stream.cumulative_errors(host) == cumulative[host]
+        for kind in ("ce", "sdc", "crash"):
+            name = f"{kind}:{host}"
+            assert stream._streams.get(name).random() == streams.get(name).random()
 
 
 class TestDetectors:
