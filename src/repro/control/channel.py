@@ -55,8 +55,10 @@ class ChannelConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigurationError(f"{name} must be within [0, 1), got {value}")
-        if self.min_delay_s < 0 or self.max_delay_s < self.min_delay_s:
-            raise ConfigurationError("need 0 <= min_delay_s <= max_delay_s")
+        # Written so that NaN fails it too: a NaN or infinite delay would
+        # only surface later, at the first send.
+        if not 0.0 <= self.min_delay_s <= self.max_delay_s < math.inf:
+            raise ConfigurationError("need 0 <= min_delay_s <= max_delay_s < inf")
 
 
 class LossyChannel:
@@ -126,8 +128,8 @@ class LossyChannel:
         self._dup_override.pop(target, None)
 
     def set_extra_delay(self, target: str, delay_s: float) -> None:
-        if delay_s < 0:
-            raise ConfigurationError("extra delay cannot be negative")
+        if not 0.0 <= delay_s < math.inf:
+            raise ConfigurationError(f"extra delay must be finite and non-negative, got {delay_s}")
         self._extra_delay[target] = delay_s
 
     def clear_extra_delay(self, target: str) -> None:

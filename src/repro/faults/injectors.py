@@ -421,7 +421,7 @@ class ChannelFaultInjector(FaultInjector):
             raise InjectionError("cmd-drop magnitude is a probability in (0, 1]")
         if self.kind is FaultKind.CMD_DUPLICATE and not 0.0 < spec.magnitude < 1.0:
             raise InjectionError("cmd-duplicate magnitude is a probability in (0, 1)")
-        if self.kind is FaultKind.CMD_DELAY and spec.magnitude <= 0.0:
+        if self.kind is FaultKind.CMD_DELAY and not 0.0 < spec.magnitude < math.inf:
             raise InjectionError("cmd-delay magnitude is a positive delay in seconds")
 
     def inject(self, spec: FaultSpec, channel: LossyChannel) -> _Effect:

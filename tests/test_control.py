@@ -2,6 +2,7 @@
 dead-man lease, and the reconciliation loop."""
 
 import inspect
+import math
 
 import pytest
 
@@ -320,6 +321,20 @@ class TestLossyChannel:
             channel.set_duplicate("h0", 1.0)
         with pytest.raises(ConfigurationError):
             channel.set_extra_delay("h0", -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delays_rejected_where_set(self, bad):
+        with pytest.raises(ConfigurationError):
+            ChannelConfig(min_delay_s=bad, max_delay_s=bad)
+        with pytest.raises(ConfigurationError):
+            ChannelConfig(min_delay_s=0.0, max_delay_s=bad)
+        with pytest.raises(ConfigurationError):
+            ChannelConfig(min_delay_s=bad, max_delay_s=1.0)
+        channel = LossyChannel(Simulator(seed=1), seed=1)
+        with pytest.raises(ConfigurationError):
+            channel.set_extra_delay("h0", bad)
+        # The rejected override never took: messages still flow on time.
+        assert channel.deliver("h0", lambda: None)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ seed matrix for ``make test-chaos``.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from repro.cluster.host import Host
 from repro.cluster.lifecycle import VMLifecycleManager
 from repro.cluster.power_delivery import PowerNode
 from repro.cluster.vm import VMInstance, VMSpec, VMState
+from repro.control.channel import LossyChannel
 from repro.errors import (
     ConfigurationError,
     FaultError,
@@ -37,6 +39,7 @@ from repro.faults import (
     PowerTripInjector,
     ThermalExcursionInjector,
     VMCrashInjector,
+    register_channel_injectors,
 )
 from repro.faults.scenarios import SCENARIOS, list_fault_catalog, run_scenarios
 from repro.sim.kernel import Simulator
@@ -322,6 +325,15 @@ class TestInjectors:
             ThermalExcursionInjector(junctions={}, load_watts=lambda target: 0.0)
         )
         with pytest.raises(InjectionError):
+            campaign.arm()
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, 0.0, -1.0])
+    def test_cmd_delay_needs_a_finite_positive_magnitude(self, magnitude):
+        simulator = Simulator()
+        spec = FaultSpec(kind=FaultKind.CMD_DELAY, target="h0", at_s=1.0, magnitude=magnitude)
+        campaign = FaultCampaign(simulator, FaultPlan(seed=1, specs=(spec,)))
+        register_channel_injectors(campaign, {"h0": LossyChannel(simulator)})
+        with pytest.raises(InjectionError, match="cmd-delay magnitude"):
             campaign.arm()
 
 
