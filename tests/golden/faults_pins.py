@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -393,6 +394,7 @@ def validation_pins() -> dict[str, str]:
         "cmd-drop-magnitude": _arm(spec(K.CMD_DROP, "h0"), channels),
         "cmd-duplicate-magnitude": _arm(spec(K.CMD_DUPLICATE, "h0", magnitude=1.0), channels),
         "cmd-delay-magnitude": _arm(spec(K.CMD_DELAY, "h0"), channels),
+        "cmd-delay-nan-magnitude": _arm(spec(K.CMD_DELAY, "h0", magnitude=math.nan), channels),
         "cmd-unknown-target": _arm(spec(K.CMD_PARTITION, "h9"), channels),
         "cmd-foreign-kind": _failure(lambda: ChannelFaultInjector(K.SDC, {})),
         "facility-heatwave-magnitude": _arm(spec(K.FACILITY_HEATWAVE, "plant"), facilities),
