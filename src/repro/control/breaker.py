@@ -35,6 +35,12 @@ class BreakerState(Enum):
     HALF_OPEN = "half-open"
 
 
+#: Bound once: ``allow`` and ``record_success`` run for every command
+#: and ack, and an enum member read through its class costs several
+#: plain global reads.
+_CLOSED = BreakerState.CLOSED
+
+
 class CircuitBreaker:
     """Consecutive-failure breaker over one controller→host link."""
 
@@ -67,7 +73,7 @@ class CircuitBreaker:
 
     def allow(self, now: float) -> bool:
         """May a command be sent at ``now``? (May transition to HALF_OPEN.)"""
-        if self.state is BreakerState.CLOSED:
+        if self.state is _CLOSED:
             return True
         if self.state is BreakerState.OPEN:
             if now < self._open_until:
@@ -84,7 +90,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """An ack arrived: reset the failure count, close if probing."""
         self._consecutive_failures = 0
-        if self.state is not BreakerState.CLOSED:
+        if self.state is not _CLOSED:
             self.state = BreakerState.CLOSED
             self._probe_in_flight = False
             self.closes += 1

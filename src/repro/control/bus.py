@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..errors import ConfigurationError, ControlError
 from ..sim.kernel import Simulator
@@ -56,13 +56,17 @@ class CommandKind(Enum):
     HEARTBEAT = "heartbeat"
 
 
-@dataclass(frozen=True)
-class Command:
+#: The verb of every tick's liveness message, bound once.
+_HEARTBEAT = CommandKind.HEARTBEAT
+
+
+class Command(NamedTuple):
     """One typed actuation message.
 
     The ``idempotency_key`` identifies the *logical* command across
     retries and duplications; ``sequence`` orders commands from one bus
-    so late deliveries can be recognised as stale.
+    so late deliveries can be recognised as stale. An immutable record
+    (a ``NamedTuple``): every heartbeat builds one.
     """
 
     kind: CommandKind
@@ -74,11 +78,11 @@ class Command:
 
     def describe(self) -> str:
         payload = "" if self.payload is None else f"={self.payload}"
-        return f"{self.kind.value}{payload}#{self.sequence}"
+        # ``_value_`` is the plain attribute behind ``.value``'s descriptor.
+        return f"{self.kind._value_}{payload}#{self.sequence}"
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     """A host's acknowledgement of one applied (or rejected) command.
 
     Every ack piggybacks the host's *current* frequency, so any
@@ -92,18 +96,26 @@ class Ack:
     frequency_ghz: float = 0.0
     detail: str = ""
 
+    def describe(self) -> str:
+        return f"ack {self.idempotency_key}"
 
-@dataclass
+
+@dataclass(slots=True)
 class _Pending:
-    """Controller-side state for one in-flight logical command."""
+    """Controller-side state for one in-flight logical command.
+
+    The target's agent and breaker are looked up once, at send.
+    """
 
     command: Command
+    agent: HostAgent
+    breaker: CircuitBreaker
     attempt: int
     retry: bool
     on_applied: Callable[[Ack], None] | None
     on_failed: Callable[[Command, str], None] | None
+    emergency: bool
     timeout_event: object | None = None
-    emergency: bool = False
 
 
 class HostAgent:
@@ -178,26 +190,22 @@ class HostAgent:
         # Any controller message proves the control link is alive — a
         # partitioned host misses everything, so everything renews.
         self._last_heartbeat_s = now
-        cached = self._acked.get(command.idempotency_key)
+        key = command.idempotency_key
+        cached = self._acked.get(key)
         if cached is not None:
             self.counters.dedup_hits += 1
             self._send_ack(cached)
             return
+        # Applying may change the frequency the ack reports: apply first.
         detail = self._apply(command)
-        ack = Ack(
-            idempotency_key=command.idempotency_key,
-            target=self.host_id,
-            applied_at_s=now,
-            frequency_ghz=self.frequency_ghz,
-            detail=detail,
-        )
-        self._acked[command.idempotency_key] = ack
+        ack = self._acked[key] = Ack(key, self.host_id, now, self.frequency_ghz, detail)
         self._send_ack(ack)
 
     def _apply(self, command: Command) -> str:
-        if command.kind is CommandKind.HEARTBEAT:
+        kind = command.kind
+        if kind is _HEARTBEAT:
             return "alive"
-        if command.kind is CommandKind.SET_FREQUENCY:
+        if kind is CommandKind.SET_FREQUENCY:
             if command.sequence < self._last_frequency_sequence:
                 # A delayed old set-frequency must not overwrite a newer
                 # one: ack it (it is superseded, retrying is pointless)
@@ -210,12 +218,12 @@ class HostAgent:
             if self._apply_frequency is not None:
                 self._apply_frequency(frequency)
             return f"{frequency:.3f}GHz"
-        if command.kind is CommandKind.DEPLOY_VM:
+        if kind is CommandKind.DEPLOY_VM:
             if self._deploy_vm is None:
                 raise ControlError(f"host {self.host_id} cannot deploy VMs")
             self._deploy_vm(str(command.payload))
             return f"deploy {command.payload}"
-        if command.kind is CommandKind.RETIRE_VM:
+        if kind is CommandKind.RETIRE_VM:
             if self._retire_vm is None:
                 raise ControlError(f"host {self.host_id} cannot retire VMs")
             self._retire_vm(str(command.payload))
@@ -223,19 +231,18 @@ class HostAgent:
         raise ControlError(f"unhandled command kind {command.kind}")  # pragma: no cover
 
     def _send_ack(self, ack: Ack) -> None:
-        if self.reply is None:
-            return
         reply = self.reply
-        self.channel.deliver(
-            self.host_id, lambda: reply(ack), describe=f"ack {ack.idempotency_key}"
-        )
+        if reply is None:
+            return
+        self.channel.deliver(self.host_id, lambda: reply(ack), describe=ack.describe)
 
     # ------------------------------------------------------------------
     # Dead-man lease
     # ------------------------------------------------------------------
     def _check_lease(self) -> None:
         now = self._sim.now
-        if now <= self.lease_deadline_s + 1e-9:
+        # ``lease_deadline_s``, inlined: this runs every heartbeat interval.
+        if now <= self._last_heartbeat_s + self.lease_misses * self.heartbeat_interval_s + 1e-9:
             return
         if not self.is_overclocked:
             return
@@ -291,6 +298,7 @@ class CommandBus:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._pending: dict[str, _Pending] = {}
         self._sequence = 0
+        self._timeout_name = f"{name}:timeout"
         #: Optional global observer invoked for every accepted ack —
         #: the reconciler hangs here to harvest piggybacked state.
         self.on_ack: Callable[[Ack], None] | None = None
@@ -378,28 +386,26 @@ class CommandBus:
         (the channel may still eat it; the dead-man lease remains the
         backstop of last resort).
         """
-        self.agent_for(target)  # fail fast on unknown targets
+        agent = self.agent_for(target)  # fail fast on unknown targets
         if retry is None:
-            retry = kind is not CommandKind.HEARTBEAT
+            retry = kind is not _HEARTBEAT
         self._sequence += 1
-        command = Command(
-            kind=kind,
-            target=target,
-            idempotency_key=f"{self.name}:{target}:{kind.value}:{self._sequence}",
-            sequence=self._sequence,
-            payload=payload,
-            issued_at_s=self._sim.now,
-        )
+        sequence = self._sequence
+        # ``_value_`` is the plain attribute behind ``.value``'s descriptor.
+        key = f"{self.name}:{target}:{kind._value_}:{sequence}"
+        command = Command(kind, target, key, sequence, payload, self._sim.now)
         self.counters.commands_sent += 1
-        self._pending[command.idempotency_key] = _Pending(
-            command=command,
-            attempt=0,
-            retry=retry,
-            on_applied=on_applied,
-            on_failed=on_failed,
-            emergency=emergency,
+        self._pending[key] = _Pending(
+            command,
+            agent,
+            self.breaker_for(target),
+            0,
+            retry,
+            on_applied,
+            on_failed,
+            emergency,
         )
-        self._attempt(command.idempotency_key)
+        self._attempt(key)
         return command
 
     def _attempt(self, key: str) -> None:
@@ -407,28 +413,26 @@ class CommandBus:
         if pending is None:  # acked (or failed) while a retry was queued
             return
         pending.attempt += 1
+        counters = self.counters
         if pending.attempt > 1:
-            self.counters.retries += 1
-        command = pending.command
-        now = self._sim.now
-        breaker = self.breaker_for(command.target)
-        if not breaker.allow(now):
+            counters.retries += 1
+        if not pending.breaker.allow(self._sim.now):
             if not pending.emergency:
-                self.counters.breaker_fast_fails += 1
+                counters.breaker_fast_fails += 1
                 self._retry_or_fail(key, reason="breaker-open")
                 return
-            self.counters.emergency_bypasses += 1
-        self.counters.attempts += 1
-        agent = self.agent_for(command.target)
+            counters.emergency_bypasses += 1
+        counters.attempts += 1
+        command = pending.command
+        agent = pending.agent
+        # The channel names a message only when it loses it.
         self.channel.deliver(
-            command.target,
-            lambda: agent.receive(command),
-            describe=command.describe(),
+            command.target, lambda: agent.receive(command), describe=command.describe
         )
         pending.timeout_event = self._sim.after(
             self.ack_timeout_s,
             lambda: self._on_timeout(key, pending.attempt),
-            name=f"{self.name}:timeout:{key}",
+            name=self._timeout_name,
         )
 
     def _on_timeout(self, key: str, attempt: int) -> None:
@@ -436,7 +440,7 @@ class CommandBus:
         if pending is None or pending.attempt != attempt:
             return  # acked, or a later attempt owns the watchdog now
         self.counters.timeouts += 1
-        self._record_breaker_failure(pending.command.target)
+        self._record_breaker_failure(pending.breaker, pending.command.target)
         self._retry_or_fail(key, reason="ack-timeout")
 
     def _retry_or_fail(self, key: str, reason: str) -> None:
@@ -462,8 +466,7 @@ class CommandBus:
         if pending.on_failed is not None:
             pending.on_failed(command, reason)
 
-    def _record_breaker_failure(self, target: str) -> None:
-        breaker = self.breaker_for(target)
+    def _record_breaker_failure(self, breaker: CircuitBreaker, target: str) -> None:
         opens_before = breaker.opens
         breaker.record_failure(self._sim.now)
         if breaker.opens > opens_before:
@@ -487,7 +490,9 @@ class CommandBus:
         if event is not None:
             event.cancel()  # type: ignore[attr-defined]
         self.counters.acks += 1
-        self.breaker_for(ack.target).record_success()
+        # The ack came from the command's own target: its breaker is the
+        # one looked up at send.
+        pending.breaker.record_success()
         if self.on_ack is not None:
             self.on_ack(ack)
         if pending.on_applied is not None:

@@ -36,6 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 CMD_LOST = "cmd-lost"
 
 
+def _unnamed() -> str:
+    """The name of a message sent without one."""
+    return ""
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Baseline (un-faulted) behaviour of a lossy channel.
@@ -84,6 +89,8 @@ class LossyChannel:
         self._dup_override: dict[str, float] = {}
         self._extra_delay: dict[str, float] = {}
         self._partition_until: dict[str, float] = {}
+        # Per-target arrival event names, bound on first use.
+        self._event_names: dict[str, str] = {}
         # Counters.
         self.messages = 0
         self.delivered = 0
@@ -139,7 +146,10 @@ class LossyChannel:
     # Transport
     # ------------------------------------------------------------------
     def deliver(
-        self, target: str, action: Callable[[], None], describe: str = ""
+        self,
+        target: str,
+        action: Callable[[], None],
+        describe: Callable[[], str] = _unnamed,
     ) -> bool:
         """Attempt to carry one message over the ``target`` link.
 
@@ -147,47 +157,54 @@ class LossyChannel:
         *scheduled* — the caller still must not assume arrival: a
         partition beginning while the message is in flight eats it.
         False means the message was dropped at send time.
+
+        ``describe`` returns the message's name for the timeline; it is
+        called only when the channel loses the message.
         """
         self.messages += 1
-        if self.is_partitioned(target):
-            self._record_loss(target, f"partitioned {describe}")
+        # Partitions are rare: skip the lookup while none is armed.
+        if self._partition_until and self.is_partitioned(target):
+            self._record_loss(target, "partitioned", describe)
             return False
         drop_p = self._drop_override.get(target, self.config.drop_probability)
         if drop_p > 0.0 and self._streams.uniform(f"drop:{target}", 0.0, 1.0) < drop_p:
-            self._record_loss(target, f"dropped {describe}")
+            self._record_loss(target, "dropped", describe)
             return False
         self._schedule(target, action, describe)
         dup_p = self._dup_override.get(target, self.config.duplicate_probability)
         if dup_p > 0.0 and self._streams.uniform(f"dup:{target}", 0.0, 1.0) < dup_p:
             self.duplicated += 1
-            self._schedule(target, action, f"dup {describe}")
+            self._schedule(target, action, lambda: f"dup {describe()}")
         return True
 
-    def _schedule(self, target: str, action: Callable[[], None], describe: str) -> None:
-        delay = self._draw_delay(target)
+    def _schedule(
+        self, target: str, action: Callable[[], None], describe: Callable[[], str]
+    ) -> None:
+        config = self.config
+        low, high = config.min_delay_s, config.max_delay_s
+        base = low if high <= low else self._streams.uniform(f"delay:{target}", low, high)
+        delay = base + self._extra_delay.get(target, 0.0)
 
         def arrive() -> None:
             # In-flight messages die with the link, like real packets.
-            if self.is_partitioned(target):
-                self._record_loss(target, f"in-flight {describe}")
+            if self._partition_until and self.is_partitioned(target):
+                self._record_loss(target, "in-flight", describe)
                 return
             self.delivered += 1
             action()
 
+        name = self._event_names.get(target)
+        if name is None:
+            name = self._event_names[target] = f"{self.name}:{target}"
         if delay <= 0.0:
-            self._sim.after(0.0, arrive, name=f"{self.name}:{target}")
+            self._sim.after(0.0, arrive, name=name)
         else:
-            self._sim.after(delay, arrive, name=f"{self.name}:{target}")
+            self._sim.after(delay, arrive, name=name)
 
-    def _draw_delay(self, target: str) -> float:
-        low, high = self.config.min_delay_s, self.config.max_delay_s
-        base = low if high <= low else self._streams.uniform(f"delay:{target}", low, high)
-        return base + self._extra_delay.get(target, 0.0)
-
-    def _record_loss(self, target: str, detail: str) -> None:
+    def _record_loss(self, target: str, how: str, describe: Callable[[], str]) -> None:
         self.dropped += 1
         if self.timeline is not None:
-            self.timeline.record(self._sim.now, CMD_LOST, target, detail)
+            self.timeline.record(self._sim.now, CMD_LOST, target, f"{how} {describe()}")
 
 
 __all__ = ["ChannelConfig", "LossyChannel", "CMD_LOST"]

@@ -94,6 +94,7 @@ class ActuationLink:
                 name=f"{name}:reconciler",
             )
         self._agents: dict[str, HostAgent] = {}
+        self._hosts: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # Topology
@@ -124,6 +125,7 @@ class ActuationLink:
         )
         self.bus.attach(agent)
         self._agents[host_id] = agent
+        self._hosts = tuple(sorted(self._agents))
         if self.reconciler is not None:
             self.reconciler.note_frequency(host_id, base_frequency_ghz)
             self.reconciler.set_desired_frequency(host_id, base_frequency_ghz)
@@ -131,7 +133,8 @@ class ActuationLink:
 
     @property
     def hosts(self) -> tuple[str, ...]:
-        return tuple(sorted(self._agents))
+        """Attached host ids, sorted (kept as hosts are added)."""
+        return self._hosts
 
     def agent(self, host_id: str) -> HostAgent:
         agent = self._agents.get(host_id)
@@ -214,8 +217,9 @@ class ActuationLink:
 
     def heartbeat(self) -> None:
         """Fire-and-forget liveness to every host (renews their leases)."""
-        for host_id in self.hosts:
-            self.bus.send(CommandKind.HEARTBEAT, host_id)
+        bus, heartbeat = self.bus, CommandKind.HEARTBEAT
+        for host_id in self._hosts:
+            bus.send(heartbeat, host_id)
 
 
 __all__ = ["ActuationLink"]

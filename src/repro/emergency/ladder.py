@@ -213,6 +213,9 @@ class StagedLadder:
         self.stage = stages(0)
         self._normal = stages(0)
         self._deepest = members[-1]
+        #: Members by value (validated consecutive from 0): the next rung
+        #: is an index, not an enum lookup, on every tick.
+        self._members = tuple(members)
         self._clean_streak = 0
         self._actions: dict[IntEnum, StageActions] = {}
 
@@ -239,7 +242,7 @@ class StagedLadder:
         """Fold one control tick's margin into the ladder."""
         escalated = False
         while self.stage is not self._deepest:
-            nxt = self.stages(self.stage + 1)
+            nxt = self._members[self.stage + 1]
             if margin > self.thresholds[nxt]:
                 break
             self._escalate(time_s, nxt, margin)

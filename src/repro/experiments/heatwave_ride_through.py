@@ -371,16 +371,17 @@ def run_heatwave_mode(
             tank.pool.set_capacity(
                 now, tank.facility.effective_capacity_watts(tank.capacity_watts)
             )
-            tank.pool.set_heat(
-                now, sum(host.power_watts() for host in tank.hosts)
-            )
+            # Each host's power feeds both the pool and its junction;
+            # nothing in between changes a host, so it is read once.
+            watts = [host.power_watts() for host in tank.hosts]
+            tank.pool.set_heat(now, sum(watts))
             peaks["fluid"] = max(peaks["fluid"], tank.pool.fluid_temp_c)
             peaks["superheat"] = max(peaks["superheat"], tank.pool.superheat_c)
             offset = tank.pool.reference_offset_c
-            for host in tank.hosts:
+            for host, host_watts in zip(tank.hosts, watts):
                 rc = rcs[host.host_id]
                 rc.set_reference_offset(now, offset)
-                rc.set_power(now, host.power_watts())
+                rc.set_power(now, host_watts)
                 if host.failed:
                     current_tj.pop(host.host_id, None)
                 else:

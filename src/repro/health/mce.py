@@ -61,9 +61,12 @@ class MachineCheckStream:
         if errors_per_crash <= 0:
             raise ConfigurationError("errors_per_crash must be positive")
         self._parts = dict(parts)
+        self._sorted_hosts = tuple(sorted(self._parts))
         self._streams = RandomStreams(split_seed(seed, "mce-stream"))
         self._cumulative: dict[str, int] = {host: 0 for host in self._parts}
         self._injected_bursts: dict[str, int] = {}
+        #: host -> its (ce, sdc, crash) generators, bound on first use.
+        self._generators: dict[str, tuple] = {}
         self.errors_per_crash = errors_per_crash
 
     @property
@@ -105,11 +108,18 @@ class MachineCheckStream:
         if window_hours <= 0:
             raise ConfigurationError("window must be positive")
         part = self._parts[host_id]
+        ce_rate, sdc_rate, crashes, crash_rate = part.rates(
+            overclock_ratio, time_hours, self.errors_per_crash
+        )
+        generators = self._generators.get(host_id)
+        if generators is None:
+            generators = self._generators[host_id] = tuple(
+                self._streams.get(f"{kind}:{host_id}") for kind in ("ce", "sdc", "crash")
+            )
+        ce_gen, sdc_gen, crash_gen = generators
         events: list[MachineCheckEvent] = []
         end = time_hours + window_hours
 
-        ce_rate = part.correctable_error_rate_per_hour(overclock_ratio, time_hours)
-        ce_gen = self._streams.get(f"ce:{host_id}")
         ce_count = int(ce_gen.poisson(ce_rate * window_hours)) if ce_rate > 0 else 0
         burst = self._injected_bursts.pop(host_id, 0)
         ce_count += burst
@@ -120,25 +130,19 @@ class MachineCheckStream:
                 MachineCheckEvent(end, host_id, "ce", count=ce_count, detail=detail)
             )
 
-        sdc_rate = part.sdc_rate_per_hour(overclock_ratio, time_hours)
-        sdc_gen = self._streams.get(f"sdc:{host_id}")
         sdc_count = int(sdc_gen.poisson(sdc_rate * window_hours)) if sdc_rate > 0 else 0
         if sdc_count > 0:
             events.append(MachineCheckEvent(end, host_id, "sdc", count=sdc_count))
 
-        crash_gen = self._streams.get(f"crash:{host_id}")
-        if part.crashes(overclock_ratio, time_hours):
+        if crashes:
             events.append(
                 MachineCheckEvent(end, host_id, "crash", detail="beyond crash margin")
             )
-        else:
-            crash_rate = part.crash_rate_per_hour(
-                overclock_ratio, time_hours, self.errors_per_crash
-            )
-            if crash_rate > 0:
-                p_crash = -math.expm1(-crash_rate * window_hours)
-                if float(crash_gen.uniform(0.0, 1.0)) < p_crash:
-                    events.append(MachineCheckEvent(end, host_id, "crash"))
+        elif crash_rate > 0:
+            p_crash = -math.expm1(-crash_rate * window_hours)
+            # ``random()`` is the double ``uniform(0.0, 1.0)`` returns, cheaper.
+            if crash_gen.random() < p_crash:
+                events.append(MachineCheckEvent(end, host_id, "crash"))
 
         return events
 
@@ -154,7 +158,7 @@ class MachineCheckStream:
         ``operating_ratios`` maps host → the ratio it actually ran at
         during the window (quarantined hosts run at 1.0 or are absent).
         """
-        chosen = sorted(hosts) if hosts is not None else sorted(self._parts)
+        chosen = sorted(hosts) if hosts is not None else self._sorted_hosts
         events: list[MachineCheckEvent] = []
         for host_id in chosen:
             ratio = operating_ratios.get(host_id)

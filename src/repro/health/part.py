@@ -28,6 +28,7 @@ the same seed see bit-identical silicon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
@@ -99,14 +100,50 @@ class SiliconPart:
     # ------------------------------------------------------------------
     # Rates (the machine-check stream's physics)
     # ------------------------------------------------------------------
+    def rates(
+        self,
+        overclock_ratio: float,
+        time_hours: float,
+        errors_per_crash: float = DEFAULT_ERRORS_PER_CRASH,
+    ) -> tuple[float, float, bool, float]:
+        """``(ce_rate, sdc_rate, crashes, crash_rate)`` for this part, now.
+
+        The shifted ratio and the population model's error rate at it
+        are evaluated once. Each single-rate method below returns one
+        entry; the machine-check stream reads all four per window.
+
+        * ``ce_rate``: expected correctable errors per hour.
+        * ``sdc_rate``: expected *silent* corruptions per hour. Zero
+          until the ratio exceeds the effective stable margin by
+          ``sdc_onset``, then a ``sdc_per_error`` fraction of the
+          correctable-error ramp.
+        * ``crashes``: the part cannot operate at this ratio at all.
+        * ``crash_rate``: expected ungraceful crashes per hour, the ramp
+          over ``errors_per_crash`` as in
+          :meth:`~repro.reliability.stability.StabilityModel.crash_rate_per_hour`,
+          and infinite past the crash margin.
+        """
+        shifted = self.shifted_ratio(overclock_ratio, time_hours)
+        nominal = self.nominal
+        crashes = shifted >= nominal.crash_margin
+        if shifted <= 0:
+            return nominal.background_error_rate_per_hour, 0.0, crashes, 0.0
+        if errors_per_crash <= 0:
+            raise ConfigurationError("errors_per_crash must be positive")
+        ce_rate = nominal.correctable_error_rate_per_hour(shifted)
+        ramp = ce_rate - nominal.background_error_rate_per_hour
+        if shifted <= nominal.stable_margin + self.sdc_onset:
+            sdc_rate = 0.0
+        else:
+            sdc_rate = ramp * self.sdc_per_error
+        crash_rate = math.inf if crashes else ramp / errors_per_crash
+        return ce_rate, sdc_rate, crashes, crash_rate
+
     def correctable_error_rate_per_hour(
         self, overclock_ratio: float, time_hours: float
     ) -> float:
         """Expected correctable errors per hour for this part, now."""
-        shifted = self.shifted_ratio(overclock_ratio, time_hours)
-        if shifted <= 0:
-            return self.nominal.background_error_rate_per_hour
-        return self.nominal.correctable_error_rate_per_hour(shifted)
+        return self.rates(overclock_ratio, time_hours)[0]
 
     def crash_rate_per_hour(
         self,
@@ -115,30 +152,15 @@ class SiliconPart:
         errors_per_crash: float = DEFAULT_ERRORS_PER_CRASH,
     ) -> float:
         """Expected ungraceful crashes per hour for this part, now."""
-        shifted = self.shifted_ratio(overclock_ratio, time_hours)
-        if shifted <= 0:
-            return 0.0
-        return self.nominal.crash_rate_per_hour(shifted, errors_per_crash)
+        return self.rates(overclock_ratio, time_hours, errors_per_crash)[3]
 
     def crashes(self, overclock_ratio: float, time_hours: float) -> bool:
         """True when the part cannot operate at this ratio at all."""
-        return self.shifted_ratio(overclock_ratio, time_hours) >= self.nominal.crash_margin
+        return self.rates(overclock_ratio, time_hours)[2]
 
     def sdc_rate_per_hour(self, overclock_ratio: float, time_hours: float) -> float:
-        """Expected *silent* corruptions per hour for this part, now.
-
-        Zero until the operating ratio exceeds the effective stable
-        margin by ``sdc_onset``; beyond that, a ``sdc_per_error``
-        fraction of the correctable-error ramp escapes detection.
-        """
-        shifted = self.shifted_ratio(overclock_ratio, time_hours)
-        if shifted <= self.nominal.stable_margin + self.sdc_onset:
-            return 0.0
-        ramp = (
-            self.nominal.correctable_error_rate_per_hour(shifted)
-            - self.nominal.background_error_rate_per_hour
-        )
-        return ramp * self.sdc_per_error
+        """Expected *silent* corruptions per hour for this part, now."""
+        return self.rates(overclock_ratio, time_hours)[1]
 
 
 @dataclass(frozen=True)

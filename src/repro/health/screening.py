@@ -155,9 +155,9 @@ class ScreeningScheduler:
         )
 
     def _fails(self, part: SiliconPart, ratio: float, time_hours: float) -> bool:
-        if part.crashes(ratio, time_hours):
+        rate, _, crashes, _ = part.rates(ratio, time_hours)
+        if crashes:
             return True
-        rate = part.correctable_error_rate_per_hour(ratio, time_hours)
         return rate - part.nominal.background_error_rate_per_hour > self.fail_rate_per_hour
 
     def max_overshoot(self, part: SiliconPart) -> float:

@@ -209,6 +209,8 @@ class PowerDeliveryHierarchy:
                 chain.append(cursor)
                 cursor = self.nodes[cursor].parent
             self._ancestors[name] = tuple(chain)
+        #: The breakers' visit order, sorted once like the topology above.
+        self._sorted_names = tuple(sorted(self.nodes))
 
     # ------------------------------------------------------------------
     # Topology
@@ -281,9 +283,10 @@ class PowerDeliveryHierarchy:
         """
         draws = self.rollup(draw_by_host)
         tripped: list[str] = []
-        for name in sorted(self.nodes):
-            node = self.nodes[name]
-            if any(self.nodes[a].breaker.tripped for a in self._ancestors[name]):
+        nodes = self.nodes
+        for name in self._sorted_names:
+            node = nodes[name]
+            if any(nodes[a].breaker.tripped for a in self._ancestors[name]):
                 continue  # upstream already dark; no current flows here
             if node.breaker.observe(now_s, dt_s, draws[name], node.rated_watts):
                 tripped.append(name)

@@ -18,7 +18,7 @@ callers can ask for the moon and get the envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigurationError
 from ..telemetry.sensors import FusedReading
@@ -32,9 +32,9 @@ from .wearout import WearoutCounter
 LIFETIME_NEUTRAL_RATIO = 1.23
 
 
-@dataclass(frozen=True)
-class GuardDecision:
-    """The guard's answer to one overclock request."""
+class GuardDecision(NamedTuple):
+    """The guard's answer to one overclock request (an immutable record:
+    per-window health loops ask once per host)."""
 
     requested_ratio: float
     granted_ratio: float
@@ -196,9 +196,9 @@ class OverclockGuard:
 
         ratio = min(ratio, requested_ratio)
         return GuardDecision(
-            requested_ratio=requested_ratio,
-            granted_ratio=round(ratio, 6),
-            limited_by=limited_by if ratio < requested_ratio else "none",
+            requested_ratio,
+            round(ratio, 6),
+            limited_by if ratio < requested_ratio else "none",
         )
 
 
