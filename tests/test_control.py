@@ -330,11 +330,15 @@ class TestLossyChannel:
             ChannelConfig(min_delay_s=0.0, max_delay_s=bad)
         with pytest.raises(ConfigurationError):
             ChannelConfig(min_delay_s=bad, max_delay_s=1.0)
-        channel = LossyChannel(Simulator(seed=1), seed=1)
+        sim = Simulator(seed=1)
+        channel = LossyChannel(sim, seed=1)
         with pytest.raises(ConfigurationError):
             channel.set_extra_delay("h0", bad)
         # The rejected override never took: messages still flow on time.
-        assert channel.deliver("h0", lambda: None)
+        arrived = []
+        channel.deliver("h0", lambda: arrived.append(sim.now))
+        sim.run(until=1.0)
+        assert arrived == [0.0]
 
 
 # ----------------------------------------------------------------------
