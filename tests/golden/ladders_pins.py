@@ -14,6 +14,12 @@ Every field is held as its exact ``repr``. The timeline tuples are left
 out: each run result carries its ``timeline_signature`` (and, where it
 has one, its ``run_signature``), which hash them.
 
+The ``reports`` section holds the SHA-256 of each seeded comparison's
+rendered text, ``format_X(run_X(seed=s))``, for the six above plus
+``overload`` and ``recovery`` (the latter on a shrunk DES, see
+``RECOVERY_SHRUNK``), so the listings and tables the CLI prints are
+pinned byte for byte as well.
+
 ``tests/test_golden_ladders.py`` recomputes the pins and diffs them
 against the file; it never writes it. Regenerate (and review the diff)
 with ``make golden``, i.e. ``PYTHONPATH=src python tests/golden/ladders_pins.py``.
@@ -22,6 +28,7 @@ with ``make golden``, i.e. ``PYTHONPATH=src python tests/golden/ladders_pins.py`
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import platform
 import sys
@@ -30,12 +37,32 @@ from typing import Callable
 
 import numpy as np
 
-from repro.experiments.degraded_telemetry import run_degraded_telemetry
-from repro.experiments.envelope_rollout import run_envelope_rollout
-from repro.experiments.heatwave_ride_through import run_heatwave_ride_through
-from repro.experiments.oversubscription_crisis import run_oversubscription_crisis
-from repro.experiments.partition_recovery import run_partition_recovery
-from repro.experiments.sdc_hunt import run_sdc_hunt
+from repro.experiments.degraded_telemetry import (
+    format_degraded_telemetry,
+    run_degraded_telemetry,
+)
+from repro.experiments.envelope_rollout import (
+    format_envelope_rollout,
+    run_envelope_rollout,
+)
+from repro.experiments.failure_recovery import (
+    format_failure_recovery,
+    run_failure_recovery,
+)
+from repro.experiments.heatwave_ride_through import (
+    format_heatwave_ride_through,
+    run_heatwave_ride_through,
+)
+from repro.experiments.overload_storm import format_overload_storm, run_overload_storm
+from repro.experiments.oversubscription_crisis import (
+    format_oversubscription_crisis,
+    run_oversubscription_crisis,
+)
+from repro.experiments.partition_recovery import (
+    format_partition_recovery,
+    run_partition_recovery,
+)
+from repro.experiments.sdc_hunt import format_sdc_hunt, run_sdc_hunt
 
 GOLDEN_PATH = Path(__file__).with_name("ladders.json")
 SEEDS = (1, 2, 7)
@@ -48,6 +75,22 @@ EXPERIMENTS: dict[str, Callable[..., object]] = {
     "oversubscribe": run_oversubscription_crisis,
     "healthscan": run_sdc_hunt,
     "heatwave": run_heatwave_ride_through,
+}
+
+#: A recovery DES short enough to pin at three seeds (~0.4 s each; the
+#: default run takes about a minute).
+RECOVERY_SHRUNK = {"qps": 400.0, "horizon_s": 60.0, "failure_at_s": 20.0, "warmup_s": 5.0}
+
+#: The rendered reports: name -> (runner, formatter, runner overrides).
+REPORTS: dict[str, tuple[Callable[..., object], Callable[..., str], dict[str, float]]] = {
+    "degraded-telemetry": (run_degraded_telemetry, format_degraded_telemetry, {}),
+    "partition": (run_partition_recovery, format_partition_recovery, {}),
+    "rollout": (run_envelope_rollout, format_envelope_rollout, {}),
+    "oversubscribe": (run_oversubscription_crisis, format_oversubscription_crisis, {}),
+    "healthscan": (run_sdc_hunt, format_sdc_hunt, {}),
+    "heatwave": (run_heatwave_ride_through, format_heatwave_ride_through, {}),
+    "overload": (run_overload_storm, format_overload_storm, {}),
+    "recovery": (run_failure_recovery, format_failure_recovery, RECOVERY_SHRUNK),
 }
 
 
@@ -90,6 +133,13 @@ def experiment_pin(name: str, seed: int) -> dict[str, object]:
     }
 
 
+def report_pin(name: str, seed: int) -> str:
+    """SHA-256 of one comparison's rendered text at ``seed``."""
+    run, render, overrides = REPORTS[name]
+    text = render(run(seed=seed, **overrides))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def compute() -> dict[str, object]:
     return {
         "generated_with": versions(),
@@ -97,6 +147,10 @@ def compute() -> dict[str, object]:
         "experiments": {
             name: {str(seed): experiment_pin(name, seed) for seed in SEEDS}
             for name in EXPERIMENTS
+        },
+        "reports": {
+            name: {str(seed): report_pin(name, seed) for seed in SEEDS}
+            for name in REPORTS
         },
     }
 

@@ -157,6 +157,33 @@ class TestCLI:
         assert run([], stream=buffer) == 0
         assert "Available experiments" in buffer.getvalue()
 
+    def test_seed_reaches_a_comparison(self, capsys):
+        from repro.cli import main
+        from repro.experiments.degraded_telemetry import (
+            format_degraded_telemetry,
+            run_degraded_telemetry,
+        )
+
+        assert main(["degraded-telemetry", "--seed", "7"]) == 0
+        expected = format_degraded_telemetry(run_degraded_telemetry(seed=7))
+        assert capsys.readouterr().out == expected + "\n\n"
+
+    def test_seed_reaches_every_named_comparison(self, capsys):
+        from repro.cli import main
+        from repro.experiments.heatwave_ride_through import (
+            format_heatwave_ride_through,
+            run_heatwave_ride_through,
+        )
+        from repro.experiments.partition_recovery import (
+            format_partition_recovery,
+            run_partition_recovery,
+        )
+
+        assert main(["partition", "heatwave", "--seed", "7"]) == 0
+        partition = format_partition_recovery(run_partition_recovery(seed=7))
+        heatwave = format_heatwave_ride_through(run_heatwave_ride_through(seed=7))
+        assert capsys.readouterr().out == f"{partition}\n\n{heatwave}\n\n"
+
 
 class TestSeedValidation:
     """CLI --seed must reject junk with a clear error and exit code 2."""
