@@ -33,6 +33,8 @@ Usage::
                                         # vs the fleet-health ladder
     python -m repro rollout --seed 7    # bad envelope push: naive big-bang
                                         # vs the canary rollout pipeline
+    python -m repro partition heatwave --seed 7
+                                        # --seed reaches every comparison
     python -m repro serve --seed 7 --port 8642
                                         # run the live service: tick loop +
                                         # HTTP telemetry/ops endpoints
@@ -66,8 +68,9 @@ from .experiments import (
     tco_experiments,
     usecases,
 )
+from .faults.scenarios import list_fault_catalog, run_scenarios
 
-#: Experiment registry: name -> (description, formatter, slow?).
+#: Paper tables and figures: name -> (description, formatter, slow?).
 EXPERIMENTS: dict[str, tuple[str, Callable[[], str], bool]] = {
     "table1": ("Cooling technology comparison", characterization.format_table1, False),
     "table2": ("Dielectric fluid properties", characterization.format_table2, False),
@@ -90,14 +93,20 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], str], bool]] = {
     "churn": ("Packing density under VM churn", packing_churn.format_packing_churn, False),
     "fig15": ("Eq. 1 model validation (DES, ~1 min)", autoscaling.format_fig15, True),
     "fig16": ("Full auto-scaler + Table XI (DES, minutes)", autoscaling.format_table11, True),
-    "recovery": ("Failure recovery: BASELINE vs OC p95 (DES, ~1 min)", failure_recovery.format_failure_recovery, True),
-    "degraded-telemetry": ("Guard behaviour under sensor faults: naive vs fail-safe (DES)", degraded_telemetry.format_degraded_telemetry, True),
-    "partition": ("Actuation under a network partition: naive vs robust (DES, --seed)", partition_recovery.format_partition_recovery, True),
-    "heatwave": ("Facility emergency ride-through: naive vs laddered (DES, --seed)", heatwave_ride_through.format_heatwave_ride_through, True),
-    "oversubscribe": ("Power-oversubscription crisis: naive vs arbitrated (DES, --seed)", oversubscription_crisis.format_oversubscription_crisis, True),
-    "overload": ("Live-service overload storm: naive vs robust (DES, --seed)", overload_storm.format_overload_storm, True),
-    "healthscan": ("Silicon margin drift + SDC audit: naive vs health ladder (DES, --seed)", sdc_hunt.format_sdc_hunt, True),
-    "rollout": ("Bad envelope push: naive big-bang vs canary rollout (DES, --seed)", envelope_rollout.format_envelope_rollout, True),
+}
+
+#: The seeded naive-vs-robust comparisons: name -> (description,
+#: formatter). :func:`run` calls each formatter with ``seed=``; all are
+#: slow, so ``all`` leaves them out.
+COMPARISONS: dict[str, tuple[str, Callable[..., str]]] = {
+    "recovery": ("Failure recovery: BASELINE vs OC p95 (DES, ~1 min)", failure_recovery.format_failure_recovery),
+    "degraded-telemetry": ("Guard behaviour under sensor faults: naive vs fail-safe (DES)", degraded_telemetry.format_degraded_telemetry),
+    "partition": ("Actuation under a network partition: naive vs robust (DES, --seed)", partition_recovery.format_partition_recovery),
+    "heatwave": ("Facility emergency ride-through: naive vs laddered (DES, --seed)", heatwave_ride_through.format_heatwave_ride_through),
+    "oversubscribe": ("Power-oversubscription crisis: naive vs arbitrated (DES, --seed)", oversubscription_crisis.format_oversubscription_crisis),
+    "overload": ("Live-service overload storm: naive vs robust (DES, --seed)", overload_storm.format_overload_storm),
+    "healthscan": ("Silicon margin drift + SDC audit: naive vs health ladder (DES, --seed)", sdc_hunt.format_sdc_hunt),
+    "rollout": ("Bad envelope push: naive big-bang vs canary rollout (DES, --seed)", envelope_rollout.format_envelope_rollout),
 }
 
 
@@ -107,26 +116,33 @@ def list_experiments() -> str:
     for name, (description, _, slow) in EXPERIMENTS.items():
         marker = "  [slow]" if slow else ""
         lines.append(f"  {name:12s} {description}{marker}")
+    for name, (description, _) in COMPARISONS.items():
+        lines.append(f"  {name:12s} {description}  [slow]")
     lines.append("  all          every fast experiment")
     return "\n".join(lines)
 
 
-def run(names: list[str], stream=None) -> int:
-    """Run the named experiments, printing each; returns an exit code."""
+def run(names: list[str], stream=None, seed: int = 1) -> int:
+    """Run the named experiments, printing each; returns an exit code.
+
+    ``seed`` reaches every comparison among ``names``.
+    """
     stream = stream if stream is not None else sys.stdout
     if not names or names == ["list"]:
         print(list_experiments(), file=stream)
         return 0
     if names == ["all"]:
         names = [name for name, (_, _, slow) in EXPERIMENTS.items() if not slow]
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    unknown = [name for name in names if name not in EXPERIMENTS and name not in COMPARISONS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=stream)
         print(list_experiments(), file=stream)
         return 2
     for name in names:
-        _, formatter, _ = EXPERIMENTS[name]
-        print(formatter(), file=stream)
+        if name in COMPARISONS:
+            print(COMPARISONS[name][1](seed=seed), file=stream)
+        else:
+            print(EXPERIMENTS[name][1](), file=stream)
         print(file=stream)
     return 0
 
@@ -190,7 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--seed",
         default="1",
-        help="for 'faults': master seed for the fault plan (default 1)",
+        help=(
+            "master seed for 'faults', 'serve' and the comparisons "
+            f"({', '.join(COMPARISONS)}) (default 1)"
+        ),
     )
     parser.add_argument(
         "--list",
@@ -272,62 +291,10 @@ def main(argv: list[str] | None = None) -> int:
                 resume=args.resume is not None,
             )
         if args.experiments and args.experiments[0] == "faults":
-            # Imported lazily: scenarios pull in the experiment modules
-            # on top of the fault substrate.
-            from .faults.scenarios import list_fault_catalog, run_scenarios
-
             if args.list_faults:
                 print(list_fault_catalog())
                 return 0
             return run_scenarios(args.experiments[1:], seed=seed)
-        if args.experiments == ["partition"]:
-            # Special-cased (like 'faults') so --seed reaches the plan:
-            # the acceptance contract is that the same seed reproduces
-            # the same fault-timeline signature bit-for-bit.
-            print(
-                partition_recovery.format_partition_recovery(
-                    partition_recovery.run_partition_recovery(seed=seed)
-                )
-            )
-            return 0
-        if args.experiments == ["heatwave"]:
-            # Special-cased for the same reason as 'partition'.
-            print(
-                heatwave_ride_through.format_heatwave_ride_through(
-                    heatwave_ride_through.run_heatwave_ride_through(seed=seed)
-                )
-            )
-            return 0
-        if args.experiments == ["oversubscribe"]:
-            # Special-cased for the same reason as 'partition'.
-            print(
-                oversubscription_crisis.format_oversubscription_crisis(
-                    oversubscription_crisis.run_oversubscription_crisis(seed=seed)
-                )
-            )
-            return 0
-        if args.experiments == ["overload"]:
-            # Special-cased for the same reason as 'partition'.
-            print(
-                overload_storm.format_overload_storm(
-                    overload_storm.run_overload_storm(seed=seed)
-                )
-            )
-            return 0
-        if args.experiments == ["healthscan"]:
-            # Special-cased for the same reason as 'partition'.
-            print(
-                sdc_hunt.format_sdc_hunt(sdc_hunt.run_sdc_hunt(seed=seed))
-            )
-            return 0
-        if args.experiments == ["rollout"]:
-            # Special-cased for the same reason as 'partition'.
-            print(
-                envelope_rollout.format_envelope_rollout(
-                    envelope_rollout.run_envelope_rollout(seed=seed)
-                )
-            )
-            return 0
         if args.experiments and args.experiments[0] == "serve":
             # Imported lazily: the server pulls in asyncio plumbing no
             # batch experiment needs.
@@ -344,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
                 tick_interval_s=args.tick_interval,
                 max_ticks=args.ticks or None,
             )
-        return run(args.experiments)
+        return run(args.experiments, seed=seed)
     except ReproError as error:
         if args.debug:
             raise

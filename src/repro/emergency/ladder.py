@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..errors import ConfigurationError
 from ..telemetry.counters import EmergencyCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.timeline import FaultTimeline
+    from ..faults.timeline import FaultEvent, FaultTimeline
     from ..reliability.safety import SafetySupervisor
 
 #: Timeline kind recorded when the thermal ladder steps up one rung.
@@ -305,6 +305,19 @@ class StagedLadder:
             )
 
 
+def max_stage(
+    timeline: Iterable[FaultEvent], stages: type[IntEnum], escalate_kind: str
+) -> int:
+    """Deepest rung a ladder reached (0 = never escalated), read from the
+    ``escalate_kind`` records :class:`StagedLadder` writes into a run's
+    timeline."""
+    by_name = {stage.name.lower(): int(stage) for stage in stages}
+    return max(
+        (by_name.get(event.target, 0) for event in timeline if event.kind == escalate_kind),
+        default=0,
+    )
+
+
 class EmergencyCoordinator(StagedLadder):
     """Walks the thermal degradation ladder against the worst margin.
 
@@ -374,5 +387,6 @@ __all__ = [
     "StageActions",
     "StagedLadder",
     "EmergencyCoordinator",
+    "max_stage",
     "worst_margin_c",
 ]

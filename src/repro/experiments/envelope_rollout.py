@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ..engine.core import SweepEngine, SweepTask
 from ..engine.journal import RunJournal
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent, FaultTimeline
@@ -66,7 +65,7 @@ from ..rollout.controller import (
 from ..rollout.plan import EnvelopeChange, RolloutPlan, RolloutPlanConfig
 from ..sim.random import split_seed
 from ..telemetry.counters import PowerEmergencyCounters, RolloutCounters
-from .tables import render_table
+from .tables import key_event_lines, render_table
 
 #: The fleet: one UPS, two rows of two six-host racks (24 hosts).
 HOSTS_PER_RACK = 6
@@ -483,27 +482,16 @@ class RolloutComparison:
     canary: RolloutRunResult
 
 
-def run_envelope_rollout(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> RolloutComparison:
+def run_envelope_rollout(seed: int = 1, **overrides) -> RolloutComparison:
     """Race both arms through the identical bad-envelope campaign.
 
     ``overrides`` forwards experiment parameters (``horizon_ticks``)
     to :func:`run_rollout_mode`.
     """
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_rollout_mode,
-            params={"canary": canary, "seed": seed, **overrides},
-            key="canary" if canary else "naive",
-        )
-        for canary in (False, True)
-    ]
-    results = engine.run(tasks)
-    return RolloutComparison(naive=results["naive"], canary=results["canary"])
+    return RolloutComparison(
+        naive=run_rollout_mode(canary=False, seed=seed, **overrides),
+        canary=run_rollout_mode(canary=True, seed=seed, **overrides),
+    )
 
 
 #: Timeline kinds worth showing in full in the CLI rendering.
@@ -526,10 +514,10 @@ _KEY_EVENT_KINDS = (
 _BULK_EVENT_KINDS = (UNGRACEFUL_CRASH, SDC_ESCAPE)
 
 
-def format_envelope_rollout(comparison: RolloutComparison | None = None) -> str:
-    comparison = (
-        comparison if comparison is not None else run_envelope_rollout()
-    )
+def format_envelope_rollout(
+    comparison: RolloutComparison | None = None, seed: int = 1
+) -> str:
+    comparison = comparison if comparison is not None else run_envelope_rollout(seed=seed)
     rows = [
         (
             run.config,
@@ -574,15 +562,7 @@ def format_envelope_rollout(comparison: RolloutComparison | None = None) -> str:
             f"{run.config} timeline (signature {run.timeline_signature[:16]}…, "
             f"{len(run.timeline)} events):"
         )
-        bulk = {kind: 0 for kind in _BULK_EVENT_KINDS}
-        for event in run.timeline:
-            if event.kind in _KEY_EVENT_KINDS:
-                lines.append("  " + event.describe())
-            elif event.kind in bulk:
-                bulk[event.kind] += 1
-        for kind, count in bulk.items():
-            if count:
-                lines.append(f"  ({count} {kind} events)")
+        lines.extend(key_event_lines(run.timeline, _KEY_EVENT_KINDS, _BULK_EVENT_KINDS))
         if run.config == "canary":
             lines.append(f"  counters: {run.counters.describe()}")
         lines.append("")

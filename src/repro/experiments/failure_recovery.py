@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from ..autoscale.controller import AutoScaler
 from ..autoscale.policy import AutoscalePolicy, ScalerMode
-from ..engine.core import SweepEngine, SweepTask
 from ..faults.injectors import FaultCampaign, HostFailureInjector
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
@@ -72,10 +71,9 @@ def run_recovery_mode(
 ) -> RecoveryRunResult:
     """One closed-loop run under an injected host failure.
 
-    A pure function of its arguments (the engine can cache and
-    parallelize it). Both configurations receive the same ``seed``, so
-    the arrival process, service demands, and fault timeline are
-    identical — only the recovery policy differs.
+    A pure function of its arguments. Both configurations receive the
+    same ``seed``, so the arrival process, service demands, and fault
+    timeline are identical — only the recovery policy differs.
     """
     simulator = Simulator(seed=seed)
     policy = AutoscalePolicy(mode=ScalerMode.BASELINE, enable_scale_out=False)
@@ -139,36 +137,23 @@ class RecoveryComparison:
         return 1.0 - self.oc.p95_latency_s / self.baseline.p95_latency_s
 
 
-def run_failure_recovery(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> RecoveryComparison:
+def run_failure_recovery(seed: int = 1, **overrides) -> RecoveryComparison:
     """Run both recovery configurations over the injected failure.
 
     ``overrides`` forwards experiment parameters (``qps``,
     ``horizon_s``, ...) to :func:`run_recovery_mode`, letting tests
     shrink the run.
     """
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_recovery_mode,
-            params={"oc_recovery": oc, "seed": seed, **overrides},
-            key="oc" if oc else "baseline",
-        )
-        for oc in (False, True)
-    ]
-    results = engine.run(tasks)
-    return RecoveryComparison(baseline=results["baseline"], oc=results["oc"])
+    return RecoveryComparison(
+        baseline=run_recovery_mode(oc_recovery=False, seed=seed, **overrides),
+        oc=run_recovery_mode(oc_recovery=True, seed=seed, **overrides),
+    )
 
 
 def format_failure_recovery(
-    comparison: RecoveryComparison | None = None, engine: SweepEngine | None = None
+    comparison: RecoveryComparison | None = None, seed: int = 1
 ) -> str:
-    comparison = (
-        comparison if comparison is not None else run_failure_recovery(engine=engine)
-    )
+    comparison = comparison if comparison is not None else run_failure_recovery(seed=seed)
     rows = [
         (
             run.config,

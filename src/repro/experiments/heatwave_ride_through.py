@@ -45,12 +45,13 @@ from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
 from ..control.retry import RetryPolicy
 from ..emergency.ladder import (
+    EMERGENCY_ESCALATE,
     EmergencyCoordinator,
     EmergencyStage,
     LadderConfig,
+    max_stage,
     worst_margin_c,
 )
-from ..engine.core import SweepEngine, SweepTask
 from ..faults.injectors import (
     FaultCampaign,
     register_channel_injectors,
@@ -66,7 +67,7 @@ from ..thermal.facility import FacilityState
 from ..thermal.fluids import FC_3284
 from ..thermal.junction import immersion_junction_model
 from ..thermal.transient import TankFluidRC, ThermalRC
-from .tables import render_table
+from .tables import key_event_lines, render_table
 
 #: Experiment defaults — calibrated so the naive fleet trips Tjmax while
 #: the laddered one rides the same event out with margin to spare.
@@ -182,10 +183,10 @@ def run_heatwave_mode(
 ) -> HeatwaveRunResult:
     """One fleet's run through the condenser-loss + heat-wave event.
 
-    A pure function of its arguments (the engine can cache and
-    parallelize it). Both variants share the seed, the fault plan, the
-    fleet layout, and the thermal model — every behavioural difference
-    is attributable to the emergency ladder alone.
+    A pure function of its arguments. Both variants share the seed, the
+    fault plan, the fleet layout, and the thermal model — every
+    behavioural difference is attributable to the emergency ladder
+    alone.
     """
     simulator = Simulator(seed=seed)
     tank_a, tank_b, _ = _build_fleet()
@@ -431,7 +432,7 @@ def run_heatwave_mode(
         peak_tj_c=peaks["tj"],
         peak_fluid_c=peaks["fluid"],
         peak_superheat_c=peaks["superheat"],
-        max_stage=_max_stage(campaign.timeline),
+        max_stage=max_stage(campaign.timeline, EmergencyStage, EMERGENCY_ESCALATE),
         oc_restored_at_s=restored["at_s"],
         emergency_bypasses=link.counters.emergency_bypasses,
         reconcile_starved=link.counters.reconcile_starved,
@@ -441,21 +442,6 @@ def run_heatwave_mode(
         rearms=emergency_counters.rearms,
         timeline_signature=campaign.timeline.signature(),
         timeline=campaign.timeline.events,
-    )
-
-
-_STAGE_BY_NAME = {stage.name.lower(): int(stage) for stage in EmergencyStage}
-
-
-def _max_stage(timeline) -> int:
-    """Deepest ladder rung the run reached (0 = never escalated)."""
-    return max(
-        (
-            _STAGE_BY_NAME.get(event.target, 0)
-            for event in timeline
-            if event.kind == "emergency-escalate"
-        ),
-        default=0,
     )
 
 
@@ -472,28 +458,15 @@ class HeatwaveComparison:
         return RESTORE_BOUND_TICKS * CONTROL_TICK_S
 
 
-def run_heatwave_ride_through(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> HeatwaveComparison:
+def run_heatwave_ride_through(seed: int = 1, **overrides) -> HeatwaveComparison:
     """Race both fleets through the identical facility emergency.
 
     ``overrides`` forwards experiment parameters (``horizon_s``, ...)
     to :func:`run_heatwave_mode`.
     """
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_heatwave_mode,
-            params={"laddered": laddered, "seed": seed, **overrides},
-            key="laddered" if laddered else "naive",
-        )
-        for laddered in (False, True)
-    ]
-    results = engine.run(tasks)
     return HeatwaveComparison(
-        naive=results["naive"], laddered=results["laddered"]
+        naive=run_heatwave_mode(laddered=False, seed=seed, **overrides),
+        laddered=run_heatwave_mode(laddered=True, seed=seed, **overrides),
     )
 
 
@@ -512,10 +485,10 @@ _KEY_EVENT_KINDS = (
 
 
 def format_heatwave_ride_through(
-    comparison: HeatwaveComparison | None = None,
+    comparison: HeatwaveComparison | None = None, seed: int = 1
 ) -> str:
     comparison = (
-        comparison if comparison is not None else run_heatwave_ride_through()
+        comparison if comparison is not None else run_heatwave_ride_through(seed=seed)
     )
 
     def fmt_time(value: float | None) -> str:
@@ -561,9 +534,7 @@ def format_heatwave_ride_through(
             f"{run.config} timeline (signature {run.timeline_signature[:16]}…, "
             f"{len(run.timeline)} events):"
         )
-        for event in run.timeline:
-            if event.kind in _KEY_EVENT_KINDS:
-                lines.append("  " + event.describe())
+        lines.extend(key_event_lines(run.timeline, _KEY_EVENT_KINDS))
         lines.append("")
     return "\n".join(lines).rstrip()
 

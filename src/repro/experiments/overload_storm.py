@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.core import SweepEngine, SweepTask
 from ..faults.timeline import FaultEvent
 from ..service.core import ServiceConfig, ServiceCore
 from ..telemetry.percentiles import percentile
-from .tables import render_table
+from .tables import key_event_lines, render_table
 
 #: Ticks served before the storm (warm, diurnally breathing fleet).
 WARM_TICKS = 40
@@ -220,24 +219,12 @@ class StormComparison:
     robust: StormRunResult
 
 
-def run_overload_storm(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> StormComparison:
+def run_overload_storm(seed: int = 1, **overrides) -> StormComparison:
     """Race both fleets through the identical demand+thermal storm."""
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_storm_mode,
-            params={"mode": mode, "seed": seed, **overrides},
-            key=mode,
-        )
-        for mode in ("naive", "robust")
-    ]
-    results = engine.run(tasks)
     return StormComparison(
-        seed=seed, naive=results["naive"], robust=results["robust"]
+        seed=seed,
+        naive=run_storm_mode(mode="naive", seed=seed, **overrides),
+        robust=run_storm_mode(mode="robust", seed=seed, **overrides),
     )
 
 
@@ -258,8 +245,8 @@ def _fmt_p99(value: float | None) -> str:
     return f"{value:.3f}s" if value is not None else "—"
 
 
-def format_overload_storm(comparison: StormComparison | None = None) -> str:
-    comparison = comparison if comparison is not None else run_overload_storm()
+def format_overload_storm(comparison: StormComparison | None = None, seed: int = 1) -> str:
+    comparison = comparison if comparison is not None else run_overload_storm(seed=seed)
     rows = []
     for run in (comparison.naive, comparison.robust):
         shed = run.shed_expired + run.shed_overflow + run.shed_low_priority
@@ -311,9 +298,7 @@ def format_overload_storm(comparison: StormComparison | None = None) -> str:
             f"max emergency stage {run.max_emergency_stage}, "
             f"{run.live_hosts_final} live hosts at end"
         )
-        for event in run.timeline:
-            if event.kind in _KEY_EVENT_KINDS:
-                lines.append("  " + event.describe())
+        lines.extend(key_event_lines(run.timeline, _KEY_EVENT_KINDS))
         lines.append("")
     return "\n".join(lines).rstrip()
 

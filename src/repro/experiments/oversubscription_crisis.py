@@ -41,12 +41,12 @@ from ..cluster.power_cap import PowerCapGovernor
 from ..cluster.vm import VMInstance, VMSpec
 from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
-from ..engine.core import SweepEngine, SweepTask
+from ..emergency.ladder import max_stage
 from ..faults.injectors import FaultCampaign, register_power_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
 from ..power.arbiter import PowerBudgetArbiter
-from ..power.ladder import PowerEmergencyCoordinator, PowerEmergencyStage
+from ..power.ladder import POWER_ESCALATE, PowerEmergencyCoordinator, PowerEmergencyStage
 from ..power.predictor import PeakPowerPredictor
 from ..power.tree import (
     DeliveryLevel,
@@ -58,7 +58,7 @@ from ..silicon.configs import B2, OC1
 from ..sim.kernel import Simulator
 from ..sim.random import RandomStreams
 from ..telemetry.counters import PowerEmergencyCounters
-from .tables import render_table
+from .tables import key_event_lines, render_table
 
 #: Experiment defaults — calibrated so the naive fleet trips the row
 #: breaker under the surge while the arbitrated one rides it out.
@@ -185,10 +185,10 @@ def run_oversubscription_mode(
 ) -> CrisisRunResult:
     """One fleet's run through the underprediction + surge crisis.
 
-    A pure function of its arguments (the engine can cache and
-    parallelize it). Both variants share the seed, fault plan, arrival
-    schedule, delivery tree, and draw model — every behavioural
-    difference is attributable to the arbiter and the power ladder.
+    A pure function of its arguments. Both variants share the seed,
+    fault plan, arrival schedule, delivery tree, and draw model — every
+    behavioural difference is attributable to the arbiter and the power
+    ladder.
     """
     simulator = Simulator(seed=seed)
     hierarchy = build_crisis_hierarchy()
@@ -535,7 +535,7 @@ def run_oversubscription_mode(
         hosts_lost=hosts_lost,
         vms_lost=len(lost_vms),
         vms_shed=stats["shed"],
-        max_stage=_max_stage(timeline),
+        max_stage=max_stage(timeline, PowerEmergencyStage, POWER_ESCALATE),
         peak_row_draw_w=stats["peak_row_draw"],
         min_headroom_fraction=stats["min_headroom"],
         oc_regranted_at_s=regrant["at_s"],
@@ -547,21 +547,6 @@ def run_oversubscription_mode(
     )
 
 
-_STAGE_BY_NAME = {stage.name.lower(): int(stage) for stage in PowerEmergencyStage}
-
-
-def _max_stage(timeline) -> int:
-    """Deepest power-ladder rung the run reached (0 = never escalated)."""
-    return max(
-        (
-            _STAGE_BY_NAME.get(event.target, 0)
-            for event in timeline
-            if event.kind == "power-escalate"
-        ),
-        default=0,
-    )
-
-
 @dataclass(frozen=True)
 class CrisisComparison:
     """Naive vs arbitrated fleet under the same oversubscription crisis."""
@@ -570,28 +555,15 @@ class CrisisComparison:
     arbitrated: CrisisRunResult
 
 
-def run_oversubscription_crisis(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> CrisisComparison:
+def run_oversubscription_crisis(seed: int = 1, **overrides) -> CrisisComparison:
     """Race both fleets through the identical crisis.
 
     ``overrides`` forwards experiment parameters (``horizon_s``, ...)
     to :func:`run_oversubscription_mode`.
     """
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_oversubscription_mode,
-            params={"arbitrated": arbitrated, "seed": seed, **overrides},
-            key="arbitrated" if arbitrated else "naive",
-        )
-        for arbitrated in (False, True)
-    ]
-    results = engine.run(tasks)
     return CrisisComparison(
-        naive=results["naive"], arbitrated=results["arbitrated"]
+        naive=run_oversubscription_mode(arbitrated=False, seed=seed, **overrides),
+        arbitrated=run_oversubscription_mode(arbitrated=True, seed=seed, **overrides),
     )
 
 
@@ -609,10 +581,10 @@ _KEY_EVENT_KINDS = (
 
 
 def format_oversubscription_crisis(
-    comparison: CrisisComparison | None = None,
+    comparison: CrisisComparison | None = None, seed: int = 1
 ) -> str:
     comparison = (
-        comparison if comparison is not None else run_oversubscription_crisis()
+        comparison if comparison is not None else run_oversubscription_crisis(seed=seed)
     )
 
     def fmt_time(value: float | None) -> str:
@@ -659,9 +631,7 @@ def format_oversubscription_crisis(
             f"{run.config} timeline (signature {run.timeline_signature[:16]}…, "
             f"{len(run.timeline)} events):"
         )
-        for event in run.timeline:
-            if event.kind in _KEY_EVENT_KINDS:
-                lines.append("  " + event.describe())
+        lines.extend(key_event_lines(run.timeline, _KEY_EVENT_KINDS))
         lines.append("")
     return "\n".join(lines).rstrip()
 

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
 from ..control.retry import RetryPolicy
-from ..engine.core import SweepEngine, SweepTask
 from ..faults.injectors import FaultCampaign, register_channel_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
 from ..sim.kernel import Simulator
-from .tables import render_table
+from .tables import key_event_lines, render_table
 
 #: Experiment defaults: a 60 s spike, a partition opening mid-spike and
 #: outliving the down-clock command's full retry budget.
@@ -110,10 +109,10 @@ def run_partition_mode(
 ) -> PartitionRunResult:
     """One scripted spike + partition run under one actuation stack.
 
-    A pure function of its arguments (the engine can cache and
-    parallelize it). The naive and robust variants share the seed, the
-    command script, and the fault plan — every behavioural difference
-    is attributable to the actuation machinery alone.
+    A pure function of its arguments. The naive and robust variants
+    share the seed, the command script, and the fault plan — every
+    behavioural difference is attributable to the actuation machinery
+    alone.
     """
     simulator = Simulator(seed=seed)
     plan = FaultPlan(
@@ -223,27 +222,16 @@ class PartitionComparison:
         return (LEASE_MISSES + 1) * HEARTBEAT_INTERVAL_S
 
 
-def run_partition_recovery(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> PartitionComparison:
+def run_partition_recovery(seed: int = 1, **overrides) -> PartitionComparison:
     """Race both actuation stacks over the identical partition.
 
     ``overrides`` forwards experiment parameters (``horizon_s``,
     ``partition_duration_s``, ...) to :func:`run_partition_mode`.
     """
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_partition_mode,
-            params={"robust": robust, "seed": seed, **overrides},
-            key="robust" if robust else "naive",
-        )
-        for robust in (False, True)
-    ]
-    results = engine.run(tasks)
-    return PartitionComparison(naive=results["naive"], robust=results["robust"])
+    return PartitionComparison(
+        naive=run_partition_mode(robust=False, seed=seed, **overrides),
+        robust=run_partition_mode(robust=True, seed=seed, **overrides),
+    )
 
 
 #: Timeline kinds worth showing in full in the CLI rendering (the
@@ -257,8 +245,10 @@ _KEY_EVENT_KINDS = (
 )
 
 
-def format_partition_recovery(comparison: PartitionComparison | None = None) -> str:
-    comparison = comparison if comparison is not None else run_partition_recovery()
+def format_partition_recovery(
+    comparison: PartitionComparison | None = None, seed: int = 1
+) -> str:
+    comparison = comparison if comparison is not None else run_partition_recovery(seed=seed)
 
     def fmt_time(value: float | None) -> str:
         return f"t={value:.1f}s" if value is not None else "never"
@@ -300,9 +290,7 @@ def format_partition_recovery(comparison: PartitionComparison | None = None) -> 
             f"{run.config} timeline (signature {run.timeline_signature[:16]}…, "
             f"{len(run.timeline)} events, {run.messages_dropped} messages lost):"
         )
-        for event in run.timeline:
-            if event.kind in _KEY_EVENT_KINDS:
-                lines.append("  " + event.describe())
+        lines.extend(key_event_lines(run.timeline, _KEY_EVENT_KINDS))
         lines.append("")
     return "\n".join(lines).rstrip()
 

@@ -41,10 +41,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..engine.core import SweepEngine, SweepTask
 from ..faults.injectors import FaultCampaign, register_health_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
-from ..faults.timeline import FaultEvent, FaultTimeline
+from ..faults.timeline import FaultEvent
 from ..health.coordinator import FleetHealthCoordinator, HealthLadderConfig, HealthStage
 from ..health.detector import DriftDetector
 from ..health.mce import MachineCheckStream
@@ -54,7 +53,7 @@ from ..reliability.governor import OverclockGuard
 from ..reliability.stability import StabilityModel
 from ..sim.kernel import Simulator
 from ..telemetry.counters import HealthCounters
-from .tables import render_table
+from .tables import key_event_lines, render_table
 
 #: The fleet: twelve hosts sharing one characterized envelope.
 HOSTS = tuple(f"p{index:02d}" for index in range(12))
@@ -407,27 +406,16 @@ class SdcHuntComparison:
     robust: SdcHuntRunResult
 
 
-def run_sdc_hunt(
-    seed: int = 1,
-    engine: SweepEngine | None = None,
-    **overrides,
-) -> SdcHuntComparison:
+def run_sdc_hunt(seed: int = 1, **overrides) -> SdcHuntComparison:
     """Race both fleets through the identical drift campaign.
 
     ``overrides`` forwards experiment parameters (``horizon_hours``)
     to :func:`run_sdc_mode`.
     """
-    engine = engine if engine is not None else SweepEngine()
-    tasks = [
-        SweepTask(
-            fn=run_sdc_mode,
-            params={"robust": robust, "seed": seed, **overrides},
-            key="robust" if robust else "naive",
-        )
-        for robust in (False, True)
-    ]
-    results = engine.run(tasks)
-    return SdcHuntComparison(naive=results["naive"], robust=results["robust"])
+    return SdcHuntComparison(
+        naive=run_sdc_mode(robust=False, seed=seed, **overrides),
+        robust=run_sdc_mode(robust=True, seed=seed, **overrides),
+    )
 
 
 #: Timeline kinds worth showing in full in the CLI rendering.
@@ -447,8 +435,8 @@ _KEY_EVENT_KINDS = (
 _BULK_EVENT_KINDS = (SDC_ESCAPE, UNGRACEFUL_CRASH)
 
 
-def format_sdc_hunt(comparison: SdcHuntComparison | None = None) -> str:
-    comparison = comparison if comparison is not None else run_sdc_hunt()
+def format_sdc_hunt(comparison: SdcHuntComparison | None = None, seed: int = 1) -> str:
+    comparison = comparison if comparison is not None else run_sdc_hunt(seed=seed)
     rows = [
         (
             run.config,
@@ -492,15 +480,7 @@ def format_sdc_hunt(comparison: SdcHuntComparison | None = None) -> str:
             f"{run.config} timeline (signature {run.timeline_signature[:16]}…, "
             f"{len(run.timeline)} events):"
         )
-        bulk = {kind: 0 for kind in _BULK_EVENT_KINDS}
-        for event in run.timeline:
-            if event.kind in _KEY_EVENT_KINDS:
-                lines.append("  " + event.describe())
-            elif event.kind in bulk:
-                bulk[event.kind] += 1
-        for kind, count in bulk.items():
-            if count:
-                lines.append(f"  ({count} {kind} events)")
+        lines.extend(key_event_lines(run.timeline, _KEY_EVENT_KINDS, _BULK_EVENT_KINDS))
         if run.config == "robust":
             lines.append(
                 "  final envelopes: "

@@ -7,9 +7,10 @@ columns, one line per row.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import ConfigurationError
+from ..faults.timeline import FaultEvent
 
 
 def render_table(
@@ -40,10 +41,29 @@ def render_table(
     return "\n".join(lines)
 
 
+def key_event_lines(
+    timeline: Iterable[FaultEvent],
+    key_kinds: Sequence[str],
+    bulk_kinds: Sequence[str] = (),
+) -> list[str]:
+    """A run's timeline as report lines: each ``key_kinds`` event in full,
+    then one ``(N kind events)`` count per ``bulk_kinds`` kind that occurred.
+    """
+    lines = []
+    bulk = dict.fromkeys(bulk_kinds, 0)
+    for event in timeline:
+        if event.kind in key_kinds:
+            lines.append("  " + event.describe())
+        elif event.kind in bulk:
+            bulk[event.kind] += 1
+    lines.extend(f"  ({count} {kind} events)" for kind, count in bulk.items() if count)
+    return lines
+
+
 def pct(value: float, signed: bool = True) -> str:
     """Format a fraction as a percentage string."""
     sign = "+" if signed else ""
     return f"{value * 100:{sign}.1f}%"
 
 
-__all__ = ["render_table", "pct"]
+__all__ = ["render_table", "key_event_lines", "pct"]

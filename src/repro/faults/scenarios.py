@@ -3,9 +3,11 @@
 Each scenario builds a small self-contained model, arms a
 :class:`~repro.faults.injectors.FaultCampaign` from a seeded
 :class:`~repro.faults.plan.FaultPlan`, runs it, and renders the outcome
-plus the event timeline and its signature. Re-running with the same
-``--seed`` reproduces the timeline byte-for-byte; changing the seed
-re-rolls every sampled fault time.
+plus the event timeline and its signature. The naive-vs-robust
+comparison scenarios are their experiments' own ``format_*`` reports,
+called with ``seed=``. Re-running with the same ``--seed`` reproduces
+the timeline byte-for-byte; changing the seed re-rolls every sampled
+fault time.
 
 This module imports :mod:`repro.experiments` and therefore must not be
 imported from ``repro.faults.__init__`` (the experiments themselves use
@@ -23,15 +25,33 @@ from ..cluster.lifecycle import VMLifecycleManager
 from ..cluster.power_delivery import build_two_rack_row
 from ..cluster.vm import VMInstance, VMSpec
 from ..errors import PowerBudgetExceeded
+from ..experiments.degraded_telemetry import format_degraded_telemetry
+from ..experiments.failure_recovery import format_failure_recovery
+from ..experiments.heatwave_ride_through import format_heatwave_ride_through
+from ..experiments.oversubscription_crisis import format_oversubscription_crisis
+from ..experiments.partition_recovery import format_partition_recovery
+from ..experiments.sdc_hunt import format_sdc_hunt
 from ..experiments.tables import render_table
+from ..power.tree import build_uniform_hierarchy
 from ..reliability.stability import StabilityModel
+from ..rollout import (
+    CallbackEnvelopeActuator,
+    CanaryAnalyzer,
+    CanaryPolicy,
+    EnvelopeChange,
+    HostSignals,
+    RolloutController,
+    RolloutPlan,
+)
 from ..sim.kernel import Simulator
+from ..telemetry.counters import RolloutCounters
 from ..thermal.tank import ImmersedLoad, small_tank_1
 from .injectors import (
     FaultCampaign,
     PowerTripInjector,
     ThermalExcursionInjector,
     VMCrashInjector,
+    register_rollout_injectors,
 )
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .timeline import FaultTimeline
@@ -217,72 +237,6 @@ def _power_trip(seed: int) -> str:
     return _with_timeline(body, campaign.timeline)
 
 
-def _host_failure(seed: int) -> str:
-    """The headline experiment: BASELINE vs OC recovery (see
-    :mod:`repro.experiments.failure_recovery`)."""
-    # Imported lazily to keep `faults --list` fast and dependency-light.
-    from ..experiments.failure_recovery import format_failure_recovery, run_failure_recovery
-
-    return format_failure_recovery(run_failure_recovery(seed=seed))
-
-
-def _partition(seed: int) -> str:
-    """A severed command link: naive vs robust actuation (see
-    :mod:`repro.experiments.partition_recovery`)."""
-    # Imported lazily, mirroring _host_failure.
-    from ..experiments.partition_recovery import (
-        format_partition_recovery,
-        run_partition_recovery,
-    )
-
-    return format_partition_recovery(run_partition_recovery(seed=seed))
-
-
-def _heatwave(seed: int) -> str:
-    """Facility condenser loss + heat wave: naive fleet vs the staged
-    emergency ladder (see :mod:`repro.experiments.heatwave_ride_through`)."""
-    # Imported lazily, mirroring _host_failure.
-    from ..experiments.heatwave_ride_through import (
-        format_heatwave_ride_through,
-        run_heatwave_ride_through,
-    )
-
-    return format_heatwave_ride_through(run_heatwave_ride_through(seed=seed))
-
-
-def _oversubscribe(seed: int) -> str:
-    """Predictor bias + synchronized surge: naive fleet vs the power
-    arbiter (see :mod:`repro.experiments.oversubscription_crisis`)."""
-    # Imported lazily, mirroring _host_failure.
-    from ..experiments.oversubscription_crisis import (
-        format_oversubscription_crisis,
-        run_oversubscription_crisis,
-    )
-
-    return format_oversubscription_crisis(run_oversubscription_crisis(seed=seed))
-
-
-def _silicon_drift(seed: int) -> str:
-    """Margin drift, MCE bursts, and forced SDC: naive static fleet vs
-    the health pipeline (see :mod:`repro.experiments.sdc_hunt`)."""
-    # Imported lazily, mirroring _host_failure.
-    from ..experiments.sdc_hunt import format_sdc_hunt, run_sdc_hunt
-
-    return format_sdc_hunt(run_sdc_hunt(seed=seed))
-
-
-def _degraded_telemetry(seed: int) -> str:
-    """Sensor faults masking a coolant excursion: naive vs fail-safe
-    control (see :mod:`repro.experiments.degraded_telemetry`)."""
-    # Imported lazily, mirroring _host_failure.
-    from ..experiments.degraded_telemetry import (
-        format_degraded_telemetry,
-        run_degraded_telemetry,
-    )
-
-    return format_degraded_telemetry(run_degraded_telemetry(seed=seed))
-
-
 def _envelope_rollout(seed: int) -> str:
     """Rollout faults through the real campaign path.
 
@@ -291,20 +245,6 @@ def _envelope_rollout(seed: int) -> str:
     re-characterization (``bad-envelope``) that crashes every exposed
     host — which the canary analysis catches and rolls back.
     """
-    # Imported lazily, mirroring _host_failure.
-    from ..power.tree import build_uniform_hierarchy
-    from ..rollout import (
-        CallbackEnvelopeActuator,
-        CanaryAnalyzer,
-        CanaryPolicy,
-        EnvelopeChange,
-        HostSignals,
-        RolloutController,
-        RolloutPlan,
-    )
-    from ..telemetry.counters import RolloutCounters
-    from .injectors import register_rollout_injectors
-
     hierarchy = build_uniform_hierarchy(
         hosts_per_rack=6, racks_per_row=2, rows_per_ups=2
     )
@@ -398,11 +338,11 @@ def _envelope_rollout(seed: int) -> str:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One CLI-runnable fault scenario."""
+    """One CLI-runnable fault scenario; ``build(seed=N)`` renders it."""
 
     name: str
     description: str
-    build: Callable[[int], str]
+    build: Callable[..., str]
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {
@@ -411,7 +351,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         ScenarioSpec(
             "host-failure",
             "Injected host failure: BASELINE vs OC recovery p95 (DES, ~1 min)",
-            _host_failure,
+            format_failure_recovery,
         ),
         ScenarioSpec(
             "crash-storm",
@@ -431,27 +371,27 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         ScenarioSpec(
             "degraded-telemetry",
             "Sensor faults masking a coolant excursion: naive vs fail-safe guard",
-            _degraded_telemetry,
+            format_degraded_telemetry,
         ),
         ScenarioSpec(
             "partition",
             "Severed command link: naive vs robust actuation (lease, reconcile)",
-            _partition,
+            format_partition_recovery,
         ),
         ScenarioSpec(
             "heatwave",
             "Condenser loss + heat wave: naive trip-out vs the emergency ladder",
-            _heatwave,
+            format_heatwave_ride_through,
         ),
         ScenarioSpec(
             "oversubscribe",
             "Predictor bias + synchronized surge: naive trips vs the arbiter",
-            _oversubscribe,
+            format_oversubscription_crisis,
         ),
         ScenarioSpec(
             "silicon-drift",
             "Margin drift + MCE bursts + SDC: naive fleet vs the health ladder",
-            _silicon_drift,
+            format_sdc_hunt,
         ),
         ScenarioSpec(
             "envelope-rollout",
@@ -503,7 +443,7 @@ def run_scenarios(
         print(list_scenarios(), file=stream)
         return 2
     for name in names:
-        print(SCENARIOS[name].build(seed), file=stream)
+        print(SCENARIOS[name].build(seed=seed), file=stream)
         print(file=stream)
     return 0
 

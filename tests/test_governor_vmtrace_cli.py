@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import EXPERIMENTS, list_experiments, run
+from repro.cli import COMPARISONS, EXPERIMENTS, list_experiments, run
 from repro.errors import ConfigurationError
 from repro.reliability import (
     OverclockGuard,
@@ -133,7 +133,7 @@ class TestVMTraceGenerator:
 class TestCLI:
     def test_list(self):
         listing = list_experiments()
-        for name in EXPERIMENTS:
+        for name in (*EXPERIMENTS, *COMPARISONS):
             assert name in listing
 
     def test_run_single(self):
