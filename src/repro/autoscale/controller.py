@@ -342,28 +342,6 @@ class AutoScaler:
         self._lifecycle.delete_vm(handle.instance.vm_id)
         self._record_vm_count()
 
-    def drain_vms(self, count: int = 1) -> tuple[str, ...]:
-        """Gracefully drain up to ``count`` serving VMs (health hook).
-
-        The fleet health coordinator's QUARANTINE action: unlike
-        :meth:`inject_vm_failures` the drain is orderly — each victim
-        goes through the same retire path as scale-in, so in-flight
-        work is not destroyed and, with actuation attached, a lost
-        command is bounded by reconciliation exactly like a scale-in.
-        Victims are the most recently attached VMs (deterministic).
-        Returns the drained VM names.
-        """
-        if count < 0:
-            raise ConfigurationError("drain count cannot be negative")
-        drained: list[str] = []
-        for _ in range(count):
-            vms = self.load_balancer.vms
-            if not vms:
-                break
-            drained.append(vms[-1].name)
-            self._retire_vm()
-        return tuple(drained)
-
     def _record_vm_count(self) -> None:
         count = len(self._lifecycle.running_instances) + len(
             self._lifecycle.creating_instances

@@ -59,10 +59,6 @@ class Fleet:
         return tuple(self._hosts)
 
     @property
-    def buffer_host_ids(self) -> frozenset[str]:
-        return frozenset(self._buffer)
-
-    @property
     def sellable_vcores(self) -> int:
         """Vcores available for customer VMs (buffers excluded)."""
         return sum(

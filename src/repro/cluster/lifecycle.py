@@ -98,12 +98,6 @@ class VMLifecycleManager:
             self._sim.after(latency, become_ready, name=f"deploy:{vm.vm_id}")
         return vm
 
-    @property
-    def failed_instances(self) -> tuple[VMInstance, ...]:
-        return tuple(
-            vm for vm in self._instances.values() if vm.state is VMState.FAILED
-        )
-
     def delete_vm(self, vm_id: str) -> VMInstance:
         """Delete a VM immediately (scale-in is fast)."""
         vm = self._instances.get(vm_id)

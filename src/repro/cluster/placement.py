@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..errors import PlacementError
 from .host import Host
@@ -35,18 +35,6 @@ class PackingStats:
     vms: int
     total_vcores_placed: int
     total_pcores: int
-
-    @property
-    def vms_per_used_host(self) -> float:
-        if self.hosts_used == 0:
-            return 0.0
-        return self.vms / self.hosts_used
-
-    @property
-    def vcore_to_pcore_ratio(self) -> float:
-        if self.total_pcores == 0:
-            return 0.0
-        return self.total_vcores_placed / self.total_pcores
 
 
 class PlacementEngine:
@@ -72,10 +60,6 @@ class PlacementEngine:
                 del self._hosts[index]
                 return
         raise PlacementError(f"no host {host_id} in the placement pool")
-
-    def host_of(self, vm_id: str) -> Host | None:
-        """The host a VM was placed on, if any."""
-        return self._assignments.get(vm_id)
 
     # ------------------------------------------------------------------
     # Placement
@@ -106,16 +90,6 @@ class PlacementEngine:
         host.place(vm)
         self._assignments[vm.vm_id] = host
         return host
-
-    def place_all(self, vms: Iterable[VMInstance]) -> dict[str, Host]:
-        """Place a batch (first-fit-decreasing order by vcores).
-
-        Returns the assignment map; raises on the first VM that cannot
-        be placed (partial placements stay in effect, mirroring how a
-        real allocator degrades).
-        """
-        ordered = sorted(vms, key=lambda vm: vm.spec.vcores, reverse=True)
-        return {vm.vm_id: self.place(vm) for vm in ordered}
 
     def evict(self, vm_id: str) -> None:
         """Remove a VM from its host."""

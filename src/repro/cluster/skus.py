@@ -112,14 +112,6 @@ class RedBandSession:
         self._spent = 0.0
 
     @property
-    def budget_damage(self) -> float:
-        return self._budget
-
-    @property
-    def spent_damage(self) -> float:
-        return self._spent
-
-    @property
     def remaining_damage(self) -> float:
         return self._budget - self._spent
 

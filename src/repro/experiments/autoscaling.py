@@ -84,15 +84,6 @@ class Fig15Result:
     frequency_ghz: TimeSeries
     qps_schedule: PiecewiseSchedule
 
-    def frequency_fraction_trace(self) -> list[tuple[float, float]]:
-        """Frequency as a fraction of the B2→OC1 range (the paper's
-        secondary y-axis)."""
-        lo, hi = 3.4, 4.1
-        return [
-            (sample.time, (sample.value - lo) / (hi - lo))
-            for sample in self.frequency_ghz
-        ]
-
 
 def run_fig15(seed: int = 1, phase_seconds: float = 300.0) -> Fig15Result:
     """The Figure 15 validation experiment (scale-up/down only)."""

@@ -21,7 +21,7 @@ other random stream, and replays sample the identical subset.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ConfigurationError

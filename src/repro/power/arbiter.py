@@ -88,9 +88,6 @@ class PowerBudgetArbiter:
         """Oversubscribed budget minus charges at ``node``."""
         return self.hierarchy.nodes[node].budget_watts - self._charged[node]
 
-    def granted_overclock_watts(self, host: str) -> float:
-        return self._oc_grants.get(host, 0.0)
-
     @property
     def overclocked_hosts(self) -> list[str]:
         return sorted(self._oc_grants)

@@ -292,9 +292,6 @@ class PowerDeliveryHierarchy:
                 tripped.append(name)
         return tripped
 
-    def tripped_nodes(self) -> list[str]:
-        return sorted(name for name, node in self.nodes.items() if node.breaker.tripped)
-
     def dead_hosts(self) -> list[str]:
         """Hosts with a tripped breaker anywhere on their lineage."""
         return sorted(

@@ -182,23 +182,6 @@ class StabilityMonitor:
         self._alarmed = False
         self._quiet_streak = 0
 
-    def observe_fused(self, time_hours: float, reading) -> bool:
-        """Feed a fused error-counter reading from the robust-estimation
-        layer (:class:`~repro.telemetry.sensors.SensorFusion`).
-
-        Unhealthy readings (stale, implausible, no quorum) are *skipped*
-        rather than trusted: a stuck counter must not mask a real error
-        ramp, and a spiking counter must not fire a phantom alarm — the
-        safety supervisor, not this monitor, reacts to telemetry loss.
-        Returns True when a (healthy) reading fires the alarm.
-        """
-        if reading is None or not getattr(reading, "healthy", False):
-            return False
-        value = reading.raw_value if reading.raw_value is not None else reading.value
-        # Robust smoothing can dip a cumulative counter slightly below
-        # the last accepted sample; clamp rather than reject history.
-        return self.observe(time_hours, max(value, self._last_count))
-
     def observe(self, time_hours: float, cumulative_errors: float) -> bool:
         """Record a counter reading; returns True when an alarm fires."""
         if cumulative_errors < 0:

@@ -69,10 +69,6 @@ class WearoutCounter:
         return self._damage
 
     @property
-    def operating_hours(self) -> float:
-        return self._hours
-
-    @property
     def segments(self) -> tuple[WearSegment, ...]:
         return tuple(self._segments)
 

@@ -129,13 +129,6 @@ class AdmissionController:
         """Refuse classes *less important than* ``floor`` (None = admit all)."""
         self._priority_floor = floor
 
-    @property
-    def priority_floor(self) -> PriorityClass | None:
-        return self._priority_floor
-
-    def deadline_for(self, klass: PriorityClass) -> float:
-        return self.policies[klass].deadline_s
-
     def admit(self, now_s: float, klass: PriorityClass) -> str:
         """Decide one arrival: ``"admitted"``, ``"gated"``, or ``"throttled"``."""
         bucket = self._buckets.get(klass)

@@ -40,10 +40,6 @@ class FrequencyConfig:
         """True for the OC rows (explicitly pinned beyond turbo)."""
         return self.turbo_enabled is None
 
-    def component_frequencies(self) -> dict[str, float]:
-        """Frequencies keyed by the component names the workload models use."""
-        return {"core": self.core_ghz, "llc": self.llc_ghz, "memory": self.memory_ghz}
-
     def speedups_over(self, baseline: "FrequencyConfig") -> dict[str, float]:
         """Per-component clock ratios relative to ``baseline``."""
         return {

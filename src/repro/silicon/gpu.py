@@ -116,11 +116,6 @@ class GPU:
                 f"{self.spec.name}'s overclocking ceiling"
             )
 
-    def reconfigure(self, config: GPUConfig) -> None:
-        """Apply a different Table VIII configuration."""
-        self.config = config
-        self._validate()
-
     def voltage_v(self) -> float:
         """Effective (time-averaged) core voltage under the configured offset."""
         effective_offset = self.config.voltage_offset_mv * self.spec.voltage_sensitivity

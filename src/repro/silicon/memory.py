@@ -62,12 +62,6 @@ class MemorySystem:
         """Total memory power at the given clock."""
         return self.dimm.power_watts(frequency_ghz) * self.count
 
-    def bandwidth_scale(self, frequency_ghz: float) -> float:
-        """Peak-bandwidth multiplier relative to the nominal clock."""
-        if frequency_ghz <= 0:
-            raise FrequencyError("memory frequency must be positive")
-        return frequency_ghz / self.dimm.nominal_frequency_ghz
-
 
 #: The 24-DIMM bank in the Open Compute blade (120 W total).
 OCP_MEMORY = MemorySystem(dimm=DIMMSpec(capacity_gb=16.0), count=24)

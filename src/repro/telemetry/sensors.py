@@ -303,10 +303,6 @@ class SensorFusion:
     def channels(self) -> tuple[str, ...]:
         return tuple(sensor.name for sensor in self._sensors)
 
-    def set_bounds(self, bounds: PlausibilityBounds | None) -> None:
-        """Move the plausibility envelope (the V/F operating point moved)."""
-        self.bounds = bounds
-
     def read(self, time_s: float) -> FusedReading:
         self.reads += 1
         healthy: list[float] = []

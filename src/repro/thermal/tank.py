@@ -16,14 +16,10 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..errors import CapacityError, ConfigurationError, CoolingCapacityExceeded
 from .fluids import FC_3284, HFE_7000, DielectricFluid
 from .junction import BECPlacement, JunctionModel, immersion_junction_model
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .transient import TankFluidRC
 
 
 @dataclass
@@ -154,33 +150,6 @@ class ImmersionTank:
     def remaining_fluid_grams(self) -> float:
         """Fluid remaining after accumulated vapor losses."""
         return max(0.0, self.fluid_mass_grams - self.vapor.lost_grams)
-
-    def fluid_thermal_mass_j_per_k(self, specific_heat_j_per_g_k: float = 1.1) -> float:
-        """Sensible thermal mass of the remaining pool (J/K)."""
-        if specific_heat_j_per_g_k <= 0:
-            raise ConfigurationError("specific heat must be positive")
-        return self.remaining_fluid_grams() * specific_heat_j_per_g_k
-
-    def fluid_dynamics(
-        self,
-        specific_heat_j_per_g_k: float = 1.1,
-        nominal_subcool_c: float = 4.0,
-    ) -> "TankFluidRC":
-        """Transient pool model sized from this tank's fluid and condenser.
-
-        The returned :class:`~repro.thermal.transient.TankFluidRC` starts
-        at the healthy subcooled equilibrium; feed it the tank's total
-        heat and the facility's effective condenser capacity each tick.
-        """
-        from .transient import TankFluidRC
-
-        return TankFluidRC(
-            fluid=self.fluid,
-            fluid_mass_grams=self.remaining_fluid_grams(),
-            nominal_capacity_watts=self.condenser_capacity_watts,
-            specific_heat_j_per_g_k=specific_heat_j_per_g_k,
-            nominal_subcool_c=nominal_subcool_c,
-        )
 
 
 # ----------------------------------------------------------------------

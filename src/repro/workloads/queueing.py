@@ -248,16 +248,6 @@ class ServerVM:
         self._advance()
         return self._counters.snapshot(self._sim.now)
 
-    def utilization_from(
-        self, earlier: CounterSnapshot, now: float | None = None
-    ) -> float:
-        """Average vcore utilization since ``earlier`` (0..1)."""
-        current = self.counter_snapshot()
-        delta = current.delta(earlier)
-        if delta.interval <= 0:
-            return 0.0
-        return min(1.0, delta.busy_seconds / (delta.interval * self.vcores))
-
 
 class LoadBalancer:
     """Round-robin request distribution over the active VM set.

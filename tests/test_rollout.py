@@ -29,7 +29,6 @@ from repro.power.ladder import PowerEmergencyCoordinator
 from repro.power.tree import build_uniform_hierarchy
 from repro.rollout import (
     PHASE_APPLYING,
-    PHASE_BAKING,
     PHASE_COMPLETE,
     PHASE_PENDING,
     PHASE_ROLLED_BACK,
