@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 from urllib.parse import parse_qs, urlsplit
@@ -110,8 +111,10 @@ class ServiceServer:
         max_ticks: int | None = None,
         stall_ticks: int = DEFAULT_STALL_TICKS,
     ) -> None:
-        if tick_interval_s <= 0:
-            raise ReproError("tick_interval_s must be positive")
+        if not (math.isfinite(tick_interval_s) and tick_interval_s > 0):
+            raise ReproError(
+                f"tick_interval_s must be positive and finite, got {tick_interval_s}"
+            )
         if max_ticks is not None and max_ticks < 1:
             raise ReproError("max_ticks must be at least 1 (or None)")
         self.session = ServiceSession(

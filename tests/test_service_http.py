@@ -307,3 +307,15 @@ class TestValidation:
             ServiceServer(str(tmp_path), "x", seed=1, tick_interval_s=0.0)
         with pytest.raises(ReproError):
             ServiceServer(str(tmp_path), "x", seed=1, max_ticks=0)
+
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_non_finite_interval_is_rejected(self, tmp_path, capsys, interval):
+        """NaN would tick unpaced and inf would stall after one tick."""
+        from repro.cli import main
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="finite"):
+            ServiceServer(str(tmp_path), "x", seed=1, tick_interval_s=float(interval))
+        argv = ["serve", "--tick-interval", interval, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "tick_interval_s must be positive and finite" in capsys.readouterr().err
