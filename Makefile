@@ -108,7 +108,8 @@ test-rollout:
 # through the power-cap, vm-crash and overclock ops) and ladders.json
 # (every field of both arms of the degraded-telemetry, partition,
 # envelope-rollout, oversubscription, SDC-hunt and heat-wave
-# comparisons, timelines by signature).
+# comparisons, timelines by signature, and the SHA-256 of every seeded
+# comparison's rendered text).
 # tests/test_golden_faults.py, tests/test_golden_des.py and
 # tests/test_golden_ladders.py only read them, so any behaviour change
 # shows up as a reviewable diff of the JSON.
