@@ -77,8 +77,8 @@ EXPERIMENTS: dict[str, Callable[..., object]] = {
     "heatwave": run_heatwave_ride_through,
 }
 
-#: A recovery DES short enough to pin at three seeds (~0.4 s each; the
-#: default run takes about a minute).
+#: A recovery DES short enough to pin at three seeds (under a second
+#: each, where the default run takes about a minute).
 RECOVERY_SHRUNK = {"qps": 400.0, "horizon_s": 60.0, "failure_at_s": 20.0, "warmup_s": 5.0}
 
 #: The rendered reports: name -> (runner, formatter, runner overrides).
