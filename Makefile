@@ -11,14 +11,18 @@ test:
 # fixed seed matrix. The conftest arms a faulthandler watchdog
 # (REPRO_TEST_TIMEOUT_S) so a hung pool dumps tracebacks and fails
 # instead of wedging CI; CHAOS_TIMEOUT (seconds) bounds both the
-# watchdog and the subprocess waits inside the chaos tests.
+# watchdog and the subprocess waits inside the chaos tests. This suite
+# and test-service open WALs and sockets, so both run in dev mode with
+# ResourceWarning (and pytest's report of one raised in a finalizer)
+# as an error: a handle left for the garbage collector fails its test.
 REPRO_CHAOS_SEEDS ?= 1 2 7
 CHAOS_TIMEOUT ?= 300
 test-chaos:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" \
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) CHAOS_TIMEOUT=$(CHAOS_TIMEOUT) \
-		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_faults.py \
-		tests/test_engine_chaos.py tests/test_journal.py -q
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X dev -W error::ResourceWarning \
+		-m pytest tests/test_faults.py tests/test_engine_chaos.py \
+		tests/test_journal.py -q -W error::pytest.PytestUnraisableExceptionWarning
 
 # Safety suite: sensor-fault transforms, robust fusion, the fail-safe
 # supervisor, and the cross-module monotonicity properties.
@@ -64,14 +68,15 @@ test-power:
 # (>= 1k requests against a ticking server), and the overload-storm
 # acceptance contract (naive goodput collapses, robust holds the p99
 # SLO with a bounded queue; signatures bit-identical) over the
-# REPRO_CHAOS_SEEDS matrix, under the same faulthandler watchdog as
-# test-chaos.
+# REPRO_CHAOS_SEEDS matrix, under the same faulthandler watchdog and
+# the same leak-checking dev mode as test-chaos.
 test-service:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" \
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) CHAOS_TIMEOUT=$(CHAOS_TIMEOUT) \
-		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_service.py \
-		tests/test_service_chaos.py tests/test_service_http.py \
-		tests/test_overload_storm.py -q
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X dev -W error::ResourceWarning \
+		-m pytest tests/test_service.py tests/test_service_chaos.py \
+		tests/test_service_http.py tests/test_overload_storm.py -q \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 # Silicon-health suite: the latent part/MCA/detector/screening/audit
 # unit tests, the fleet health ladder (derate → quarantine → screen →

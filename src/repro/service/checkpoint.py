@@ -80,24 +80,32 @@ class ServiceSession:
     # Open / resume
     # ------------------------------------------------------------------
     def open(self) -> ServiceCore:
-        """Open the WAL and build (or rebuild-and-replay) the core."""
+        """Open the WAL and build (or rebuild-and-replay) the core.
+
+        A refused or diverged resume closes the WAL again before the
+        error propagates, so the same WAL can be opened afresh.
+        """
         replayed = self._journal.open()
-        self.core = ServiceCore(seed=self.seed, config=self.config, mode=self.mode)
-        meta = replayed.get("meta")
-        if meta is None:
-            self._journal.record(
-                "meta",
-                "meta",
-                {
-                    "seed": self.seed,
-                    "mode": self.mode,
-                    "config": _config_fingerprint(self.config),
-                },
-            )
-            return self.core
-        self.resumed = True
-        self._verify_meta(meta)
-        self._replay(replayed)
+        try:
+            self.core = ServiceCore(seed=self.seed, config=self.config, mode=self.mode)
+            meta = replayed.get("meta")
+            if meta is None:
+                self._journal.record(
+                    "meta",
+                    "meta",
+                    {
+                        "seed": self.seed,
+                        "mode": self.mode,
+                        "config": _config_fingerprint(self.config),
+                    },
+                )
+            else:
+                self.resumed = True
+                self._verify_meta(meta)
+                self._replay(replayed)
+        except BaseException:
+            self._journal.close()
+            raise
         return self.core
 
     def _verify_meta(self, meta: Mapping[str, object]) -> None:

@@ -152,11 +152,19 @@ class ServiceServer:
         return self.session.core
 
     async def start(self) -> None:
-        """Open (or resume) the session, bind the port, start ticking."""
+        """Open (or resume) the session, bind the port, start ticking.
+
+        If the port cannot be bound, the session's WAL is closed again
+        before the error propagates.
+        """
         self.session.open()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client, self.host, self.port
+            )
+        except BaseException:
+            self.session.close()
+            raise
         self._tick_task = asyncio.ensure_future(self._tick_loop())
 
     async def stop(self) -> None:

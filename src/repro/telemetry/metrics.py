@@ -11,6 +11,7 @@ computed for Table XI.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -43,10 +44,11 @@ class TimeSeries:
         return (Sample(t, v) for t, v in zip(self._times, self._values))
 
     def record(self, time: float, value: float) -> None:
-        """Append a sample. Timestamps must be non-decreasing."""
-        if self._times and time < self._times[-1]:
+        """Append a sample. Timestamps must be non-decreasing (and not NaN)."""
+        last = self._times[-1] if self._times else -math.inf
+        if not time >= last:
             raise ConfigurationError(
-                f"samples must be appended in time order ({time} < {self._times[-1]})"
+                f"samples must be appended in time order ({time} after {last})"
             )
         self._times.append(time)
         self._values.append(value)
@@ -117,7 +119,7 @@ class StateIntegrator:
 
     def set(self, time: float, value: float) -> None:
         """Change the state at ``time``."""
-        if time < self._last_time:
+        if not time >= self._last_time:
             raise ConfigurationError("state changes must be applied in time order")
         self._advance(time)
         self._value = float(value)
@@ -138,7 +140,7 @@ class StateIntegrator:
         return self._integral / self._elapsed
 
     def _advance(self, time: float) -> None:
-        if time < self._last_time:
+        if not time >= self._last_time:
             raise ConfigurationError("cannot integrate backwards in time")
         span = time - self._last_time
         self._integral += self._value * span
@@ -171,8 +173,8 @@ class Stopwatch:
 
     def add(self, name: str, seconds: float) -> None:
         """Fold an externally measured duration into ``name``."""
-        if seconds < 0:
-            raise ConfigurationError("durations must be non-negative")
+        if not seconds >= 0:
+            raise ConfigurationError(f"durations must be non-negative, got {seconds}")
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
         self._calls[name] = self._calls.get(name, 0) + 1
 

@@ -36,8 +36,8 @@ class PowerMeter:
 
     def set_power(self, time: float, watts: float) -> None:
         """Record that the draw changed to ``watts`` at ``time``."""
-        if watts < 0:
-            raise ConfigurationError("power draw cannot be negative")
+        if not watts >= 0:
+            raise ConfigurationError(f"power draw must be non-negative, got {watts}")
         self._integrator.set(time, watts)
 
     def finish(self, time: float) -> None:

@@ -490,6 +490,17 @@ class TestServiceSession:
         with pytest.raises(JournalError):
             ServiceSession(tmp_path, "run", seed=1, mode="naive").open()
 
+    def test_refused_resume_closes_the_wal(self, tmp_path):
+        with ServiceSession(tmp_path, "run", seed=1) as session:
+            session.tick()
+        refused = ServiceSession(tmp_path, "run", seed=2)
+        with pytest.raises(JournalError):
+            refused.open()
+        assert refused._journal._handle is None
+        with ServiceSession(tmp_path, "run", seed=1) as fresh:
+            assert fresh.resumed
+            assert fresh.replayed_ticks == 1
+
     def test_op_journaled_before_ack_is_replayed(self, tmp_path):
         with ServiceSession(tmp_path, "run", seed=5) as session:
             for _ in range(5):

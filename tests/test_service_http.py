@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
 
-from repro.service import ServiceServer
+from repro.service import ServiceServer, ServiceSession
 
 #: Concurrency x depth of the load test (>= 1k requests total).
 LOAD_CLIENTS = 8
@@ -297,6 +298,28 @@ class TestServerRestart:
         assert ticks >= 3 and signature
         replayed = asyncio.run(second())
         assert replayed >= 3
+
+    def test_bind_failure_closes_the_wal(self, tmp_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            server = ServiceServer(
+                cache_dir=str(tmp_path),
+                run_id="http-bind",
+                seed=5,
+                port=taken.getsockname()[1],
+            )
+            with pytest.raises(OSError):
+                asyncio.run(server.serve_forever())
+        assert server.session._journal._handle is None
+        # The session had opened and journaled its meta record; a fresh
+        # one resumes the same WAL.
+        session = ServiceSession(str(tmp_path), "http-bind", seed=5)
+        try:
+            session.open()
+            assert session.resumed
+        finally:
+            session.close()
 
 
 class TestValidation:

@@ -1,5 +1,10 @@
 """Tests for counters, time series, percentiles, and power metering."""
 
+import math
+import tracemalloc
+from typing import Sequence
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +15,86 @@ from repro.telemetry import (
     LatencyRecorder,
     PowerMeter,
     StateIntegrator,
+    Stopwatch,
     TimeSeries,
     percentile,
 )
+
+
+WARMUP_S = 10.0
+
+
+class ListLatencyRecorder:
+    """The list-backed :class:`LatencyRecorder` the typed buffer
+    replaced, kept as the reference the buffer must match exactly."""
+
+    def __init__(self, name: str = "", drop_warmup_before: float = 0.0) -> None:
+        self.name = name
+        self._warmup = drop_warmup_before
+        self._latencies: list[float] = []
+        self._dropped = 0
+
+    def __len__(self) -> int:
+        return len(self._latencies)
+
+    def record(self, completion_time: float, latency: float) -> None:
+        if latency < 0:
+            raise ConfigurationError("latency must be non-negative")
+        if completion_time < self._warmup:
+            self._dropped += 1
+            return
+        self._latencies.append(latency)
+
+    @property
+    def samples(self) -> Sequence[float]:
+        return tuple(self._latencies)
+
+    @property
+    def dropped_warmup_samples(self) -> int:
+        return self._dropped
+
+    def mean(self) -> float:
+        if not self._latencies:
+            raise ConfigurationError(f"no latency samples recorded for {self.name!r}")
+        return float(np.mean(self._latencies))
+
+    def p50(self) -> float:
+        return percentile(self._latencies, 50.0)
+
+    def p95(self) -> float:
+        return percentile(self._latencies, 95.0)
+
+    def p99(self) -> float:
+        return percentile(self._latencies, 99.0)
+
+    def summary(self) -> dict[str, float]:
+        if not self._latencies:
+            raise ConfigurationError(f"no latency samples recorded for {self.name!r}")
+        data = np.asarray(self._latencies, dtype=float)
+        p50, p95, p99 = np.percentile(data, (50.0, 95.0, 99.0))
+        return {
+            "count": float(data.size),
+            "mean": float(np.mean(data)),
+            "p50": float(p50),
+            "p95": float(p95),
+            "p99": float(p99),
+        }
+
+
+def _statistics(recorder):
+    return (recorder.mean, recorder.p50, recorder.p95, recorder.p99, recorder.summary)
+
+
+def _observe(recorder) -> tuple:
+    """Everything a recorder reports; a statistic of no samples reads
+    as the error type it raises."""
+    values = []
+    for statistic in _statistics(recorder):
+        try:
+            values.append(statistic())
+        except ConfigurationError:
+            values.append(ConfigurationError)
+    return (len(recorder), recorder.dropped_warmup_samples, recorder.samples, *values)
 
 
 class TestCoreCounters:
@@ -96,6 +178,19 @@ class TestTimeSeries:
         assert series.latest().value == 4.0
         assert series.mean() == 3.0
 
+    def test_nan_time_rejected(self):
+        series = TimeSeries()
+        with pytest.raises(ConfigurationError):
+            series.record(math.nan, 1.0)
+        series.record(5.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            series.record(math.nan, 2.0)
+        # A stored NaN would have let this out-of-order sample through.
+        with pytest.raises(ConfigurationError):
+            series.record(1.0, 3.0)
+        assert series.times == (5.0,)
+        assert series.window_mean(5.0, 10.0) == 1.0
+
 
 class TestStateIntegrator:
     def test_integral_of_steps(self):
@@ -111,6 +206,16 @@ class TestStateIntegrator:
         integ.set(10.0, 1.0)
         with pytest.raises(ConfigurationError):
             integ.set(5.0, 2.0)
+
+    def test_nan_time_rejected(self):
+        integ = StateIntegrator(initial_value=2.0)
+        with pytest.raises(ConfigurationError):
+            integ.set(math.nan, 3.0)
+        with pytest.raises(ConfigurationError):
+            integ.finish(math.nan)
+        integ.finish(10.0)
+        assert integ.integral() == 20.0
+        assert integ.time_average() == 2.0
 
     @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=10),
                               st.floats(min_value=0, max_value=100)), min_size=1, max_size=20))
@@ -172,6 +277,78 @@ class TestLatencyRecorder:
         with pytest.raises(ConfigurationError):
             LatencyRecorder().record(0.0, -1.0)
 
+    def test_nan_latency_rejected(self):
+        recorder = LatencyRecorder()
+        recorder.record(0.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            recorder.record(0.0, math.nan)
+        assert recorder.samples == (1.0,)
+        assert recorder.summary()["p99"] == 1.0
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.one_of(
+                        st.just(WARMUP_S),
+                        st.floats(min_value=0.0, max_value=2 * WARMUP_S),
+                    ),
+                    st.floats(min_value=0.0, max_value=1e4),
+                ),
+                st.just("stats"),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_the_list_backed_reference(self, operations):
+        recorder = LatencyRecorder("buffer", drop_warmup_before=WARMUP_S)
+        reference = ListLatencyRecorder("buffer", drop_warmup_before=WARMUP_S)
+        for operation in operations + ["stats"]:
+            if operation == "stats":
+                assert _observe(recorder) == _observe(reference)
+            else:
+                recorder.record(*operation)
+                reference.record(*operation)
+
+    def test_records_after_every_statistic(self):
+        recorder = LatencyRecorder()
+        recorder.record(1.0, 2.0)
+        results = [statistic() for statistic in _statistics(recorder)]
+        # Fails with BufferError if any statistic left a view of the
+        # buffer alive.
+        recorder.record(1.0, 4.0)
+        assert results[0] == 2.0
+        assert recorder.samples == (2.0, 4.0)
+        assert recorder.mean() == 3.0
+
+    def test_records_while_an_empty_statistic_error_lives(self):
+        recorder = LatencyRecorder("empty")
+        errors = []
+        for statistic in _statistics(recorder):
+            with pytest.raises(ConfigurationError) as caught:
+                statistic()
+            errors.append(caught)
+        # Each kept exception holds its traceback and with it the frames
+        # it was raised in; none of them may hold a view of the buffer.
+        recorder.record(1.0, 4.0)
+        assert all(caught.value is not None for caught in errors)
+        assert recorder.samples == (4.0,)
+
+    def test_samples_cost_8_bytes_each(self):
+        recorder = LatencyRecorder()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for index in range(200_000):
+                recorder.record(1.0, index * 1e-3)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recorder) == 200_000
+        # 1.6 MB of float64 plus the buffer's over-allocation; a list of
+        # Python floats costs about 6.4 MB.
+        assert after - before < 2.5e6
+
     def test_percentile_validation(self):
         with pytest.raises(ConfigurationError):
             percentile([1.0], 101.0)
@@ -214,3 +391,20 @@ class TestPowerMeter:
     def test_negative_power_rejected(self):
         with pytest.raises(ConfigurationError):
             PowerMeter().set_power(1.0, -5.0)
+
+    def test_nan_power_rejected(self):
+        meter = PowerMeter(initial_watts=100.0)
+        with pytest.raises(ConfigurationError):
+            meter.set_power(1.0, math.nan)
+        meter.finish(10.0)
+        assert meter.average_watts() == 100.0
+
+
+class TestStopwatch:
+    def test_nan_duration_rejected(self):
+        watch = Stopwatch()
+        watch.add("stage", 0.5)
+        with pytest.raises(ConfigurationError):
+            watch.add("stage", math.nan)
+        assert watch.seconds("stage") == 0.5
+        assert watch.calls("stage") == 1
