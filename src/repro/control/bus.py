@@ -32,6 +32,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..errors import ConfigurationError, ControlError
+from ..sim.events import Event
 from ..sim.kernel import Simulator
 from ..telemetry.counters import ControlPlaneCounters
 from .breaker import CircuitBreaker
@@ -115,7 +116,7 @@ class _Pending:
     on_applied: Callable[[Ack], None] | None
     on_failed: Callable[[Command, str], None] | None
     emergency: bool
-    timeout_event: object | None = None
+    timeout_event: Event | None = None
 
 
 class HostAgent:
@@ -488,7 +489,7 @@ class CommandBus:
             return  # duplicate ack for an already-settled command
         event = pending.timeout_event
         if event is not None:
-            event.cancel()  # type: ignore[attr-defined]
+            self._sim.cancel(event)
         self.counters.acks += 1
         # The ack came from the command's own target: its breaker is the
         # one looked up at send.

@@ -661,6 +661,8 @@ class ServiceCore:
             in_flight += 1
             if self._auditor is not None:
                 self._observe_result(request.request_id, vm)
+            if not self._queue:
+                return
 
     # ------------------------------------------------------------------
     # Thermal plant and trips

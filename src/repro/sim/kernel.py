@@ -2,7 +2,10 @@
 
 :class:`Simulator` owns the virtual clock and the event queue. Model code
 schedules callbacks with :meth:`Simulator.at` / :meth:`Simulator.after`
-and periodic work with :meth:`Simulator.every`. The kernel guarantees:
+and periodic work with :meth:`Simulator.every`, and cancels any of them
+with :meth:`Simulator.cancel`. The clock is the plain attribute
+:attr:`Simulator.now`, which only :meth:`Simulator.run` and
+:meth:`Simulator.reset` write. The kernel guarantees:
 
 * the clock never moves backwards;
 * events at equal timestamps fire in scheduling order (deterministic);
@@ -35,7 +38,8 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds (written only by run and reset).
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self.streams = RandomStreams(seed)
@@ -44,11 +48,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock and introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events in the queue."""
@@ -64,9 +63,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def at(self, time: float, callback: Callable[[], None], name: str = "") -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event {name!r} at {time} before now={self._now}"
+                f"cannot schedule event {name!r} at {time} before now={self.now}"
             )
         return self._queue.push(time, callback, name)
 
@@ -74,7 +73,7 @@ class Simulator:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {name!r}")
-        return self._queue.push(self._now + delay, callback, name)
+        return self._queue.push(self.now + delay, callback, name)
 
     def every(
         self,
@@ -85,28 +84,30 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback`` to run every ``interval`` seconds.
 
-        Returns the handle of the *next* occurrence; cancelling it stops
-        the whole periodic chain.
+        Returns a handle for the whole periodic chain; cancelling it
+        stops every future occurrence.
         """
         if interval <= 0:
             raise SimulationError(f"periodic event {name!r} needs interval > 0")
         first_delay = interval if start_after is None else start_after
 
-        # The returned proxy's ``cancelled`` flag gates every future tick,
-        # so cancelling it stops the whole periodic chain.
-        proxy = Event(
-            time=self._now + first_delay, sequence=-1, callback=callback, name=name
-        )
+        # A proxy entry that is never pushed: its callback slot gates
+        # every future tick, so cancelling it stops the whole chain.
+        proxy = [self.now + first_delay, -1, callback, name]
 
         def guarded_tick() -> None:
-            if proxy.cancelled:
+            if proxy[2] is None:
                 return
             callback()
-            if not proxy.cancelled:
+            if proxy[2] is not None:
                 self.after(interval, guarded_tick, name)
 
         self.after(first_delay, guarded_tick, name)
         return proxy
+
+    #: Cancel an event handle from :meth:`at`, :meth:`after` or
+    #: :meth:`every`; cancelling one that already fired is a no-op.
+    cancel = staticmethod(EventQueue.cancel)
 
     # ------------------------------------------------------------------
     # Execution
@@ -117,7 +118,9 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         at the end of the run even if the last event fired earlier, so
-        time-based metrics integrate over the full horizon.
+        time-based metrics integrate over the full horizon. A NaN
+        ``until`` (which would act as no horizon) and a negative
+        ``max_events`` are rejected before anything runs.
 
         The loop reads the queue's heap directly: cancelled heads are
         discarded in place and the next live event is popped only once
@@ -126,34 +129,38 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and until != until:
+            raise SimulationError("cannot run until a NaN time")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be non-negative, got {max_events}")
         self._running = True
         heap = self._queue._heap
         horizon = math.inf if until is None else until
         stop_at = math.inf if max_events is None else self._event_count + max_events
         try:
             while heap and self._event_count < stop_at:
-                time, _, event = heap[0]
-                if event.cancelled:
+                time, _, callback, name = heap[0]
+                if callback is None:
                     heappop(heap)
                     continue
                 if time > horizon:
                     break
                 heappop(heap)
-                if time < self._now:
+                if time < self.now:
                     raise SimulationError(
-                        f"event {event.name!r} at {time} is in the past (now={self._now})"
+                        f"event {name!r} at {time} is in the past (now={self.now})"
                     )
-                self._now = time
+                self.now = time
                 self._event_count += 1
-                event.callback()
-            if until is not None and until > self._now:
-                self._now = until
+                callback()
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
     def reset(self) -> None:
         """Clear all state: clock, queue, and event counters."""
-        self._now = 0.0
+        self.now = 0.0
         self._queue.clear()
         self._event_count = 0
 

@@ -134,16 +134,18 @@ class OpenLoopSource:
 
     def set_rate(self, rate_per_second: float) -> None:
         """Re-program the arrival rate, effective immediately."""
-        if rate_per_second < 0:
-            raise SimulationError("arrival rate must be non-negative")
         self._set_rate(float(rate_per_second))
         if self._pending is not None:
-            self._pending.cancel()
+            self._simulator.cancel(self._pending)
             self._pending = None
         if self._rate > 0 and not self._stopped:
             self._schedule_next()
 
     def _set_rate(self, rate: float) -> None:
+        # An infinite rate would fire every arrival at one instant, and a
+        # NaN one would silently pause the source.
+        if not 0.0 <= rate < math.inf:
+            raise SimulationError(f"arrival rate must be finite and non-negative, got {rate}")
         self._rate = rate
         #: Mean gap between arrival epochs at this rate.
         self._epoch_gap = 1.0 / (rate / self._burst_mean) if rate > 0 else math.inf
@@ -152,7 +154,7 @@ class OpenLoopSource:
         """Permanently stop generating arrivals."""
         self._stopped = True
         if self._pending is not None:
-            self._pending.cancel()
+            self._simulator.cancel(self._pending)
             self._pending = None
 
     def _schedule_next(self) -> None:

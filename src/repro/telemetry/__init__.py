@@ -7,7 +7,6 @@ averages, latency percentiles, and time-weighted power statistics.
 
 from .counters import (
     ControlPlaneCounters,
-    CoreCounters,
     CounterDelta,
     CounterSnapshot,
     EmergencyCounters,
@@ -53,7 +52,6 @@ __all__ = [
     "write_json",
     "counters_payload",
     "write_counters_json",
-    "CoreCounters",
     "CounterDelta",
     "CounterSnapshot",
     "ControlPlaneCounters",

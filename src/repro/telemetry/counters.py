@@ -9,9 +9,10 @@ counters (Section VI-D, citing Mubeen's workload frequency scaling law):
 
 The ratio ``ΔPperf/ΔAperf`` over an observation window is therefore the
 *scalable fraction* of the workload: the share of active cycles that
-speed up when the clock speeds up. Our simulated cores accumulate both
-counters from (busy-time, scalable-fraction, frequency) contributions
-supplied by the hypervisor scheduler.
+speed up when the clock speeds up. Each simulated
+:class:`~repro.workloads.queueing.ServerVM` integrates both counters
+itself as it serves requests and reports them as a
+:class:`CounterSnapshot`; two snapshots give a :class:`CounterDelta`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from ..errors import WorkloadError
-from ..units import ghz_to_mhz
 
 
 @dataclass
@@ -70,48 +70,6 @@ class CounterDelta:
         if self.interval <= 0:
             return 0.0
         return min(1.0, max(0.0, self.busy_seconds / self.interval))
-
-
-class CoreCounters:
-    """Accumulates Aperf/Pperf for one (virtual or physical) core.
-
-    The hypervisor reports execution slices via :meth:`accumulate`; the
-    auto-scaler reads consistent snapshots via :meth:`snapshot`.
-    """
-
-    def __init__(self) -> None:
-        self._aperf = 0.0
-        self._pperf = 0.0
-        self._busy_seconds = 0.0
-
-    def accumulate(
-        self, busy_seconds: float, frequency_ghz: float, scalable_fraction: float
-    ) -> None:
-        """Record ``busy_seconds`` of execution at ``frequency_ghz``.
-
-        ``scalable_fraction`` is the workload's core-bound share: the
-        fraction of active cycles that are not stalled. Aperf advances by
-        the full active cycle count, Pperf by the unstalled share.
-        """
-        if busy_seconds < 0:
-            raise WorkloadError("busy_seconds must be non-negative")
-        if not 0.0 <= scalable_fraction <= 1.0:
-            raise WorkloadError("scalable_fraction must be within [0, 1]")
-        if frequency_ghz <= 0:
-            raise WorkloadError("frequency must be positive")
-        cycles = busy_seconds * ghz_to_mhz(frequency_ghz) * 1e6  # cycles = s * Hz
-        self._aperf += cycles
-        self._pperf += cycles * scalable_fraction
-        self._busy_seconds += busy_seconds
-
-    def snapshot(self, time: float) -> CounterSnapshot:
-        """Return a consistent reading of the counters at ``time``."""
-        return CounterSnapshot(
-            time=time,
-            aperf=self._aperf,
-            pperf=self._pperf,
-            busy_seconds=self._busy_seconds,
-        )
 
 
 class _CounterSet:
@@ -399,7 +357,6 @@ class RolloutCounters(_CounterSet):
 
 
 __all__ = [
-    "CoreCounters",
     "CounterSnapshot",
     "CounterDelta",
     "ControlPlaneCounters",

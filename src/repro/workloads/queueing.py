@@ -14,19 +14,22 @@ through the scalable-fraction law::
 simulated "hardware" agree about physics while the controller still has
 to estimate β from noisy counters.
 
-The VM also maintains simulated Aperf/Pperf counters and cumulative
-busy-seconds so the auto-scaler can sample real telemetry.
+The VM also integrates its own simulated Aperf/Pperf counters (see
+:mod:`repro.telemetry.counters`) and cumulative busy-seconds, so the
+auto-scaler samples real telemetry through :meth:`ServerVM.counter_snapshot`.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Callable
 
 from ..errors import ConfigurationError, WorkloadError
 from ..sim.kernel import Simulator
-from ..telemetry.counters import CoreCounters, CounterSnapshot
+from ..telemetry.counters import CounterSnapshot
 from ..telemetry.percentiles import LatencyRecorder
+from ..units import ghz_to_mhz
 
 #: Calibrated service demand of one request at the base frequency
 #: (seconds). Back-solved from the paper's Figure 16 end state: six
@@ -72,6 +75,9 @@ class ServerVM:
     The rate changes only when ``n`` or the frequency does, and every
     such change re-arms the completion event, so :meth:`_reschedule`
     computes the rate and :meth:`_advance` integrates with it.
+    :meth:`_advance` also integrates the Aperf/Pperf counters: every
+    busy vcore-second runs ``f`` (in MHz) × 10⁶ active cycles, of which
+    the scalable fraction β are unstalled.
     """
 
     def __init__(
@@ -91,11 +97,14 @@ class ServerVM:
             raise ConfigurationError("scalable_fraction must be within [0, 1]")
         if service_mean_s <= 0:
             raise ConfigurationError("service mean must be positive")
+        if not 0.0 < base_frequency_ghz < math.inf:
+            raise ConfigurationError("base frequency must be positive and finite")
         self._sim = simulator
         self.name = name
         self.vcores = vcores
         self.base_frequency_ghz = base_frequency_ghz
         self._frequency_ghz = base_frequency_ghz
+        self._mhz = ghz_to_mhz(base_frequency_ghz)
         self._service_mean = service_mean_s
         self._service_cv = service_cv
         self.scalable_fraction = scalable_fraction
@@ -103,8 +112,9 @@ class ServerVM:
         self._stream = f"service:{name}"
         self._event_name = f"{name}:complete"
         self._latency = latency_recorder
-        self._counters = CoreCounters()
         self._busy_seconds = 0.0
+        self._aperf = 0.0
+        self._pperf = 0.0
         self._completed = 0
         # Processor-sharing state.
         self._jobs: list[tuple[float, int, float, Callable[[float, float], None] | None]] = []
@@ -126,12 +136,13 @@ class ServerVM:
         """Change the VM's clock. In-flight requests immediately deplete
         their remaining work faster/slower (frequency transitions take
         tens of µs — effectively instantaneous at ms service times)."""
-        if frequency_ghz <= 0:
-            raise WorkloadError("frequency must be positive")
+        if not 0.0 < frequency_ghz < math.inf:
+            raise WorkloadError("frequency must be positive and finite")
         if frequency_ghz == self._frequency_ghz:
             return
         self._advance()
         self._frequency_ghz = frequency_ghz
+        self._mhz = ghz_to_mhz(frequency_ghz)
         self._slowdown = self._slowdown_at(frequency_ghz)
         self._reschedule()
 
@@ -155,12 +166,14 @@ class ServerVM:
             self._virtual_time += self._rate * span
             busy = (n if n < self.vcores else self.vcores) * span
             self._busy_seconds += busy
-            self._counters.accumulate(busy, self._frequency_ghz, self.scalable_fraction)
+            cycles = busy * self._mhz * 1e6  # cycles = s * Hz
+            self._aperf += cycles
+            self._pperf += cycles * self.scalable_fraction
 
     def _reschedule(self) -> None:
         """(Re)arm the completion event for the job finishing next."""
         if self._pending_completion is not None:
-            self._pending_completion.cancel()
+            self._sim.cancel(self._pending_completion)
             self._pending_completion = None
         jobs = self._jobs
         if not jobs:
@@ -201,8 +214,8 @@ class ServerVM:
         completion with ``(completion_time, arrival_time)``; the live
         service uses it for deadline and goodput accounting.
         """
-        if demand_scale <= 0:
-            raise WorkloadError("demand_scale must be positive")
+        if not 0.0 < demand_scale < math.inf:
+            raise WorkloadError("demand_scale must be positive and finite")
         self._advance()
         demand = demand_scale * self._sim.streams.lognormal(
             self._stream, self._service_mean, self._service_cv
@@ -246,7 +259,12 @@ class ServerVM:
     def counter_snapshot(self) -> CounterSnapshot:
         """Aperf/Pperf/busy reading for the auto-scaler."""
         self._advance()
-        return self._counters.snapshot(self._sim.now)
+        return CounterSnapshot(
+            time=self._sim.now,
+            aperf=self._aperf,
+            pperf=self._pperf,
+            busy_seconds=self._busy_seconds,
+        )
 
 
 class LoadBalancer:
@@ -258,6 +276,9 @@ class LoadBalancer:
 
     def __init__(self) -> None:
         self._vms: list[ServerVM] = []
+        #: The attached VMs' job heaps, for :attr:`in_flight`. A VM only
+        #: ever mutates its heap in place, so only attach/detach rebuild it.
+        self._heaps: tuple[list, ...] = ()
         self._next = 0
         self._dropped = 0
 
@@ -273,12 +294,14 @@ class LoadBalancer:
         if vm in self._vms:
             raise ConfigurationError(f"VM {vm.name!r} is already attached")
         self._vms.append(vm)
+        self._heaps = tuple(attached._jobs for attached in self._vms)
 
     def detach(self, vm: ServerVM) -> None:
         try:
             self._vms.remove(vm)
         except ValueError:
             raise ConfigurationError(f"VM {vm.name!r} is not attached") from None
+        self._heaps = tuple(attached._jobs for attached in self._vms)
         if self._next >= len(self._vms):
             self._next = 0
 
@@ -302,10 +325,7 @@ class LoadBalancer:
     @property
     def in_flight(self) -> int:
         """Requests currently in service across every attached VM."""
-        total = 0
-        for vm in self._vms:
-            total += vm.in_flight
-        return total
+        return sum(map(len, self._heaps))
 
 
 __all__ = [

@@ -21,7 +21,7 @@ class TestEventQueue:
         queue.push(1.0, lambda: fired.append(1))
         queue.push(2.0, lambda: fired.append(2))
         while (event := queue.pop()) is not None:
-            event.callback()
+            event[2]()
         assert fired == [1, 2, 3]
 
     def test_ties_break_by_insertion_order(self):
@@ -30,7 +30,7 @@ class TestEventQueue:
         for index in range(10):
             queue.push(5.0, lambda i=index: fired.append(i))
         while (event := queue.pop()) is not None:
-            event.callback()
+            event[2]()
         assert fired == list(range(10))
 
     def test_cancelled_events_are_skipped(self):
@@ -38,10 +38,10 @@ class TestEventQueue:
         fired = []
         keep = queue.push(1.0, lambda: fired.append("keep"))
         drop = queue.push(0.5, lambda: fired.append("drop"))
-        drop.cancel()
+        queue.cancel(drop)
         assert len(queue) == 1
         while (event := queue.pop()) is not None:
-            event.callback()
+            event[2]()
         assert fired == ["keep"]
         del keep
 
@@ -49,13 +49,24 @@ class TestEventQueue:
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
-        first.cancel()
+        queue.cancel(first)
         assert queue.peek_time() == 2.0
 
     def test_nan_time_rejected(self):
         queue = EventQueue()
         with pytest.raises(SimulationError):
             queue.push(float("nan"), lambda: None)
+
+    def test_len_counts_only_live_entries(self):
+        queue = EventQueue()
+        handles = [queue.push(float(index), lambda: None) for index in range(5)]
+        queue.cancel(handles[0])
+        queue.cancel(handles[3])
+        assert len(queue) == 3
+        queue.cancel(handles[3])  # a second cancel changes nothing
+        assert len(queue) == 3
+        assert queue.pop() is handles[1]
+        assert len(queue) == 2
 
 
 class TestSimulator:
@@ -131,9 +142,78 @@ class TestSimulator:
         sim = Simulator()
         ticks = []
         handle = sim.every(10.0, lambda: ticks.append(sim.now))
-        sim.at(35.0, handle.cancel)
+        sim.at(35.0, lambda: sim.cancel(handle))
         sim.run(until=100.0)
         assert ticks == [10.0, 20.0, 30.0]
+
+    def test_cancelling_a_fired_handle_is_a_no_op(self):
+        sim = Simulator()
+        fired = []
+        first = sim.at(1.0, lambda: fired.append("first"))
+        sim.at(1.0, lambda: fired.append("tie"))
+        sim.at(2.0, lambda: fired.append("later"))
+        sim.run(until=1.0)
+        sim.cancel(first)
+        sim.cancel(first)
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["first", "tie", "later"]
+
+    def test_cancelling_twice_is_harmless(self):
+        sim = Simulator()
+        fired = []
+        drop = sim.at(1.0, lambda: fired.append("drop"))
+        sim.at(1.0, lambda: fired.append("keep"))
+        sim.cancel(drop)
+        sim.cancel(drop)
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["keep"]
+        assert sim.processed_events == 1
+
+    def test_pending_events_counts_only_live_entries(self):
+        sim = Simulator()
+        handles = [sim.after(float(index), lambda: None) for index in range(4)]
+        sim.cancel(handles[1])
+        assert sim.pending_events == 3
+        ticker = sim.every(1.0, lambda: None)
+        assert sim.pending_events == 4  # the chain's first tick, not its proxy
+        sim.cancel(ticker)
+        assert sim.pending_events == 4  # that tick still runs, as a no-op
+
+    def test_every_cancelled_inside_its_own_callback_stops(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) == 3:
+                sim.cancel(handle)
+
+        handle = sim.every(10.0, tick)
+        sim.run(until=100.0)
+        assert ticks == [10.0, 20.0, 30.0]
+        assert sim.pending_events == 0
+
+    def test_nan_until_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.at(5.0, lambda: fired.append(5.0))
+        sim.at(50.0, lambda: fired.append(50.0))
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=math.nan)
+        assert fired == [] and sim.now == 0.0
+        sim.run(until=10.0)  # the rejected call left the simulator usable
+        assert fired == [5.0]
+
+    def test_negative_max_events_rejected(self):
+        sim = Simulator()
+        sim.at(5.0, lambda: None)
+        with pytest.raises(SimulationError, match="max_events"):
+            sim.run(until=10.0, max_events=-1)
+        assert sim.now == 0.0
+        sim.run()
+        assert sim.processed_events == 1
 
     def test_periodic_start_after_override(self):
         sim = Simulator()
@@ -263,14 +343,14 @@ def _run_kernel(program, cancelled, segments):
             return
         _, target, spawn_delay = program[ident]
         if target is not None:
-            handles[target].cancel()
+            sim.cancel(handles[target])
         if spawn_delay is not None:
             sim.after(spawn_delay, lambda: fire(-1))
 
     for ident, (time, _, _) in enumerate(program):
         handles.append(sim.at(time, lambda ident=ident: fire(ident)))
     for ident in cancelled:
-        handles[ident].cancel()
+        sim.cancel(handles[ident])
     clocks = []
     for until, max_events in segments:
         try:

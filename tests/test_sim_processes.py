@@ -1,5 +1,7 @@
 """Tests for schedules and the open-loop arrival source."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -96,6 +98,22 @@ class TestOpenLoopSource:
         source = OpenLoopSource(sim, lambda t: None, rate_per_second=1.0)
         with pytest.raises(SimulationError):
             source.set_rate(-1.0)
+
+    @pytest.mark.parametrize("rate", [-5.0, math.nan, math.inf])
+    def test_constructor_rejects_a_negative_or_non_finite_rate(self, rate):
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            OpenLoopSource(Simulator(), lambda t: None, rate_per_second=rate)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_set_rate_rejects_a_non_finite_rate(self, rate):
+        sim = Simulator()
+        arrivals = []
+        source = OpenLoopSource(sim, arrivals.append, rate_per_second=2.0, deterministic=True)
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            source.set_rate(rate)
+        assert source.rate == 2.0  # the rejected rate changed nothing
+        sim.run(until=1.0)
+        assert arrivals == [0.5, 1.0]
 
     def test_generated_counter(self):
         sim = Simulator()

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.sim import Simulator
 from repro.telemetry import (
-    CoreCounters,
+    CounterSnapshot,
     LatencyRecorder,
     PowerMeter,
     StateIntegrator,
@@ -19,6 +20,7 @@ from repro.telemetry import (
     TimeSeries,
     percentile,
 )
+from repro.workloads import ServerVM
 
 
 WARMUP_S = 10.0
@@ -97,45 +99,80 @@ def _observe(recorder) -> tuple:
     return (len(recorder), recorder.dropped_warmup_samples, recorder.samples, *values)
 
 
+def _one_job_vm(busy_s, scalable_fraction=0.85, base_frequency_ghz=3.4):
+    """A one-vcore VM holding one job of exactly ``busy_s`` seconds at its
+    base clock (a zero-CV demand draw returns the mean)."""
+    simulator = Simulator()
+    vm = ServerVM(
+        simulator,
+        "vm",
+        vcores=1,
+        base_frequency_ghz=base_frequency_ghz,
+        service_mean_s=busy_s,
+        service_cv=0.0,
+        scalable_fraction=scalable_fraction,
+    )
+    vm.submit(0.0)
+    return vm, simulator
+
+
 class TestCoreCounters:
+    """The Aperf/Pperf counters a :class:`ServerVM` integrates."""
+
     def test_scalable_fraction_matches_accumulation(self):
-        counters = CoreCounters()
-        counters.accumulate(busy_seconds=10.0, frequency_ghz=3.4, scalable_fraction=0.7)
-        snap0 = CoreCounters().snapshot(0.0)
-        snap1 = counters.snapshot(10.0)
+        vm, sim = _one_job_vm(10.0, scalable_fraction=0.7)
+        snap0 = vm.counter_snapshot()
+        sim.run(until=10.0)
+        snap1 = vm.counter_snapshot()
         delta = snap1.delta(snap0)
         assert delta.scalable_fraction == pytest.approx(0.7)
         assert delta.utilization == pytest.approx(1.0)
 
     def test_mixed_slices_blend_fractions(self):
-        counters = CoreCounters()
-        counters.accumulate(5.0, 3.4, 1.0)
-        counters.accumulate(5.0, 3.4, 0.0)
-        delta = counters.snapshot(10.0).delta(CoreCounters().snapshot(0.0))
+        """Slices at two clocks add their cycles; ΔPperf/ΔAperf stays β."""
+        vm, sim = _one_job_vm(100.0, scalable_fraction=0.5)
+        sim.run(until=5.0)
+        vm.set_frequency(1.7)
+        sim.run(until=10.0)
+        delta = vm.counter_snapshot().delta(CounterSnapshot(0.0, 0.0, 0.0, 0.0))
+        assert delta.aperf == pytest.approx(5.0 * 3.4e9 + 5.0 * 1.7e9)
+        assert delta.busy_seconds == pytest.approx(10.0)
         assert delta.scalable_fraction == pytest.approx(0.5)
 
     def test_idle_window_reports_fully_scalable(self):
-        counters = CoreCounters()
-        first = counters.snapshot(0.0)
-        second = counters.snapshot(10.0)
+        sim = Simulator()
+        vm = ServerVM(sim, "vm")
+        first = vm.counter_snapshot()
+        sim.run(until=10.0)
+        second = vm.counter_snapshot()
         delta = second.delta(first)
         assert delta.scalable_fraction == 1.0
         assert delta.utilization == 0.0
 
     def test_higher_frequency_accumulates_more_cycles(self):
-        slow, fast = CoreCounters(), CoreCounters()
-        slow.accumulate(1.0, 2.0, 1.0)
-        fast.accumulate(1.0, 4.0, 1.0)
-        assert fast.snapshot(1.0).aperf == pytest.approx(2 * slow.snapshot(1.0).aperf)
+        (slow, slow_sim), (fast, fast_sim) = (
+            _one_job_vm(1.0, base_frequency_ghz=2.0),
+            _one_job_vm(1.0, base_frequency_ghz=4.0),
+        )
+        slow_sim.run()
+        fast_sim.run()
+        assert fast.counter_snapshot().aperf == pytest.approx(2 * slow.counter_snapshot().aperf)
 
     def test_validation(self):
-        counters = CoreCounters()
+        """The counters' inputs are checked where they enter the VM:
+        β and the base clock at construction, each new clock in
+        ``set_frequency``. Busy time is positive by construction."""
+        sim = Simulator()
+        with pytest.raises(ConfigurationError):
+            ServerVM(sim, "vm", scalable_fraction=1.5)
+        with pytest.raises(ConfigurationError):
+            ServerVM(sim, "vm", scalable_fraction=-0.1)
+        for base in (0.0, -3.4, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                ServerVM(sim, "vm", base_frequency_ghz=base)
+        vm = ServerVM(sim, "vm")
         with pytest.raises(WorkloadError):
-            counters.accumulate(-1.0, 3.4, 0.5)
-        with pytest.raises(WorkloadError):
-            counters.accumulate(1.0, 3.4, 1.5)
-        with pytest.raises(WorkloadError):
-            counters.accumulate(1.0, 0.0, 0.5)
+            vm.set_frequency(0.0)
 
     @given(
         st.floats(min_value=0.01, max_value=100),
@@ -143,9 +180,10 @@ class TestCoreCounters:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_scalable_fraction_roundtrips(self, busy, freq, frac):
-        counters = CoreCounters()
-        counters.accumulate(busy, freq, frac)
-        delta = counters.snapshot(busy).delta(CoreCounters().snapshot(0.0))
+        vm, sim = _one_job_vm(busy, scalable_fraction=frac, base_frequency_ghz=freq)
+        sim.run()
+        delta = vm.counter_snapshot().delta(CounterSnapshot(0.0, 0.0, 0.0, 0.0))
+        assert delta.aperf == pytest.approx(busy * freq * 1e9)
         assert delta.scalable_fraction == pytest.approx(frac, abs=1e-9)
 
 
