@@ -52,8 +52,9 @@ test-emergency:
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_emergency.py \
 		tests/test_heatwave_ride_through.py -q
 
-# Power suite: the delivery tree and breaker curves, the budget
-# arbiter invariants (conservation, monotonicity), and the
+# Power suite: the delivery tree and breaker curves, priority-aware
+# capping down to the tree's limits, the budget arbiter invariants
+# (conservation, monotonicity), and the
 # oversubscription-crisis acceptance contract (naive trips the row
 # breaker, arbitrated survives with zero trips; signatures
 # bit-identical) over the REPRO_CHAOS_SEEDS matrix.
@@ -61,7 +62,8 @@ test-power:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" \
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) \
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_power_tree.py \
-		tests/test_power_arbiter.py tests/test_oversubscription_crisis.py -q
+		tests/test_power_delivery.py tests/test_power_arbiter.py \
+		tests/test_oversubscription_crisis.py -q
 
 # Live-service suite: the overload-control stack unit tests, the
 # service WAL SIGKILL/resume chaos test, the in-process HTTP load test

@@ -20,14 +20,14 @@ from repro.cluster import (
     GREEN_SKU,
     Host,
     MigrationManager,
-    PowerCapGovernor,
     RED_SKU,
     RedBandSession,
     VMInstance,
     VMSpec,
-    build_two_rack_row,
+    enforce_delivery_limits,
     overclock_stopgap_plan,
 )
+from repro.power import DeliveryLevel, DeliveryNode, PowerDeliveryHierarchy
 from repro.reliability import (
     OverclockGuard,
     StabilityMonitor,
@@ -51,18 +51,25 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Power delivery: a row breaker oversubscribed by overclocking.
     # ------------------------------------------------------------------
-    tree = build_two_rack_row(
-        hosts_per_rack=1,
-        make_host=loaded_host,
-        rack_limit_watts=2000.0,
-        row_limit_watts=450.0,
-    )
+    # One row feeding two racks of one host each; rack-0's host sheds first.
+    nodes = [DeliveryNode("row", DeliveryLevel.ROW, 450.0)]
+    hosts = {}
+    for rack_index in range(2):
+        rack, name = f"rack-{rack_index}", f"r{rack_index}-h0"
+        nodes.append(DeliveryNode(rack, DeliveryLevel.RACK_PDU, 450.0, parent="row"))
+        nodes.append(DeliveryNode(name, DeliveryLevel.HOST, 400.0, parent=rack))
+        hosts[name] = (loaded_host(name), 0 if rack_index == 0 else 10)
+    hierarchy = PowerDeliveryHierarchy(nodes)
+    provisioned = sum(host.peak_power_watts() for host, _ in hosts.values())
     print("Power delivery (row limit 450 W):")
-    print(f"  provisioned peak : {tree.root.provisioned_watts():.0f} W "
-          f"({tree.root.oversubscription_ratio():.2f}x oversubscribed)")
-    breaches = tree.find_breaches(utilization=1.0)
-    print(f"  breaches at full load: {[b.node_name for b in breaches]}")
-    results = tree.enforce(PowerCapGovernor(), utilization=1.0)
+    print(f"  provisioned peak : {provisioned:.0f} W "
+          f"({provisioned / hierarchy.root.rated_watts:.2f}x oversubscribed)")
+    draws = hierarchy.rollup(
+        {name: host.power_watts(1.0) for name, (host, _) in hosts.items()}
+    )
+    breaches = [name for name, node in hierarchy.nodes.items() if draws[name] > node.rated_watts]
+    print(f"  breaches at full load: {breaches}")
+    results = enforce_delivery_limits(hierarchy, hosts, utilization=1.0)
     for result in results:
         action = "capped" if result.capped else "kept"
         print(f"  {result.host_id}: {result.original_core_ghz:.1f} -> "

@@ -13,16 +13,8 @@ from .model import (
     utilization_headroom_frequency,
 )
 from .policy import PAPER_POLICY, AutoscalePolicy, ScalerMode
-from .power_aware import FrequencyGrant, FrequencyRequest, PowerBudgetCoordinator
-from .predictive import Forecast, PredictiveTrigger, TrendForecaster
 
 __all__ = [
-    "FrequencyRequest",
-    "FrequencyGrant",
-    "PowerBudgetCoordinator",
-    "TrendForecaster",
-    "Forecast",
-    "PredictiveTrigger",
     "AutoScaler",
     "AutoScalerResult",
     "predicted_utilization",

@@ -37,13 +37,7 @@ from .placement import (
     PlacementPolicy,
     packing_density_gain,
 )
-from .power_cap import CapResult, PowerCapGovernor
-from .power_delivery import (
-    BreachReport,
-    PowerDeliveryTree,
-    PowerNode,
-    build_two_rack_row,
-)
+from .power_cap import CapResult, PowerCapGovernor, enforce_delivery_limits
 from .skus import (
     Band,
     GREEN_SKU,
@@ -62,10 +56,6 @@ __all__ = [
     "overclock_stopgap_plan",
     "plan_migration",
     "evacuate_host",
-    "PowerNode",
-    "PowerDeliveryTree",
-    "BreachReport",
-    "build_two_rack_row",
     "Band",
     "HighPerformanceSKU",
     "RedBandSession",
@@ -87,6 +77,7 @@ __all__ = [
     "packing_density_gain",
     "PowerCapGovernor",
     "CapResult",
+    "enforce_delivery_limits",
     "Fleet",
     "FailoverOutcome",
     "CapacityGapPlan",

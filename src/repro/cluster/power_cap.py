@@ -5,15 +5,19 @@ limits; capping mechanisms respond by stepping CPU frequency down until
 the draw fits. :class:`PowerCapGovernor` implements that loop over a
 host's frequency bins, optionally with workload-priority awareness
 (priority-based capping per Dynamo/Flex: low-priority hosts shed power
-first).
+first). :func:`enforce_delivery_limits` runs the priority-aware loop
+at every breached level of a
+:class:`~repro.power.tree.PowerDeliveryHierarchy`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError, PowerBudgetExceeded
+from ..power.tree import PowerDeliveryHierarchy
 from ..silicon.configs import FrequencyConfig
 from .host import Host
 
@@ -45,8 +49,12 @@ class PowerCapGovernor:
     """Steps core frequency down until a host fits its power cap."""
 
     def __init__(self, bin_ghz: float = 0.1, min_core_ghz: float = 1.2) -> None:
-        if bin_ghz <= 0:
-            raise ConfigurationError("frequency bin must be positive")
+        # Written so that NaN fails: a NaN bin never reaches the floor,
+        # so enforce would loop forever.
+        if not 0.0 < bin_ghz < math.inf:
+            raise ConfigurationError("frequency bin must be positive and finite")
+        if not 0.0 < min_core_ghz < math.inf:
+            raise ConfigurationError("frequency floor must be positive and finite")
         self.bin_ghz = bin_ghz
         self.min_core_ghz = min_core_ghz
 
@@ -170,4 +178,31 @@ class PowerCapGovernor:
         return results
 
 
-__all__ = ["PowerCapGovernor", "CapResult"]
+def enforce_delivery_limits(
+    hierarchy: PowerDeliveryHierarchy,
+    hosts: Mapping[str, tuple[Host, int]],
+    utilization: float = 1.0,
+) -> list[CapResult]:
+    """Cap hosts until every node of ``hierarchy`` fits its rated limit.
+
+    ``hosts`` maps each host-level node name to its (host, priority).
+    Breached nodes are resolved bottom-up, and within each one
+    lower-priority hosts shed frequency first (the paper's recommended
+    mitigation, after Dynamo/Flex). Raises :class:`PowerBudgetExceeded`
+    when a breach survives even with every host under it at its
+    frequency floor.
+    """
+    governor = PowerCapGovernor()
+    results: list[CapResult] = []
+    # Children before parents: capping a rack may already fix the row.
+    for name in sorted(
+        hierarchy.nodes, key=lambda node: len(hierarchy.ancestors(node)), reverse=True
+    ):
+        under = [hosts[host] for host in hierarchy.subtree_hosts(name)]
+        limit = hierarchy.nodes[name].rated_watts
+        if sum(host.power_watts(utilization) for host, _ in under) > limit:
+            results.extend(governor.enforce_priority_aware(under, limit, utilization))
+    return results
+
+
+__all__ = ["PowerCapGovernor", "CapResult", "enforce_delivery_limits"]

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, NamedTuple
 
-from ..cluster.power_delivery import PowerNode
 from ..control.channel import LossyChannel
 from ..errors import FaultError, InjectionError
 from ..power.predictor import PeakPowerPredictor
+from ..power.tree import DeliveryNode
 from ..reliability.stability import StabilityModel
 from ..sim.kernel import Simulator
 from ..sim.random import RandomStreams
@@ -305,9 +305,11 @@ class ThermalExcursionInjector(FaultInjector):
 class PowerTripInjector(FaultInjector):
     """Power-delivery trips: a breaker loses part of its rating.
 
-    ``magnitude`` is the fraction of the node's limit lost (0 < m < 1).
-    The injector derates the node in place, records any resulting
-    breach (the capping governor's cue), and restores the limit after
+    ``magnitude`` is the fraction of the node's rated limit lost
+    (0 < m < 1). The injector derates the
+    :class:`~repro.power.tree.DeliveryNode` in place, reads the node's
+    draw once per fire (``draw_watts(target)``), records any resulting
+    breach (the capping governor's cue), and restores the rating after
     ``duration_s``.
     """
 
@@ -315,12 +317,12 @@ class PowerTripInjector(FaultInjector):
 
     def __init__(
         self,
-        nodes: Mapping[str, PowerNode],
-        utilization: float = 1.0,
-        on_trip: Callable[[PowerNode], None] | None = None,
+        nodes: Mapping[str, DeliveryNode],
+        draw_watts: Callable[[str], float],
+        on_trip: Callable[[DeliveryNode], None] | None = None,
     ) -> None:
         self.targets = dict(nodes)
-        self.utilization = utilization
+        self.draw_watts = draw_watts
         self.on_trip = on_trip
 
     def validate(self, spec: FaultSpec) -> None:
@@ -330,21 +332,21 @@ class PowerTripInjector(FaultInjector):
                 f"need 0 < m < 1, got {spec.magnitude}"
             )
 
-    def inject(self, spec: FaultSpec, node: PowerNode) -> _Effect:
-        lost = node.limit_watts * spec.magnitude
-        node.limit_watts -= lost
-        draw = node.draw_watts(self.utilization)
+    def inject(self, spec: FaultSpec, node: DeliveryNode) -> _Effect:
+        lost = node.rated_watts * spec.magnitude
+        node.rated_watts -= lost
+        draw = self.draw_watts(spec.target)
         alarm = None
-        if draw > node.limit_watts:
-            alarm = (BREAKER_BREACH, f"draw={draw:.0f}W > limit={node.limit_watts:.0f}W")
+        if draw > node.rated_watts:
+            alarm = (BREAKER_BREACH, f"draw={draw:.0f}W > limit={node.rated_watts:.0f}W")
 
         def undo() -> str:
-            node.limit_watts += lost
-            return f"+{lost:.0f}W limit={node.limit_watts:.0f}W"
+            node.rated_watts += lost
+            return f"+{lost:.0f}W limit={node.rated_watts:.0f}W"
 
-        return _Effect(f"-{lost:.0f}W limit={node.limit_watts:.0f}W", undo, alarm)
+        return _Effect(f"-{lost:.0f}W limit={node.rated_watts:.0f}W", undo, alarm)
 
-    def fired(self, spec: FaultSpec, node: PowerNode) -> None:
+    def fired(self, spec: FaultSpec, node: DeliveryNode) -> None:
         if self.on_trip is not None:
             self.on_trip(node)
 

@@ -22,7 +22,7 @@ from typing import Callable, TextIO
 
 from ..cluster.host import Host
 from ..cluster.lifecycle import VMLifecycleManager
-from ..cluster.power_delivery import build_two_rack_row
+from ..cluster.power_cap import enforce_delivery_limits
 from ..cluster.vm import VMInstance, VMSpec
 from ..errors import PowerBudgetExceeded
 from ..experiments.degraded_telemetry import format_degraded_telemetry
@@ -32,7 +32,12 @@ from ..experiments.oversubscription_crisis import format_oversubscription_crisis
 from ..experiments.partition_recovery import format_partition_recovery
 from ..experiments.sdc_hunt import format_sdc_hunt
 from ..experiments.tables import render_table
-from ..power.tree import build_uniform_hierarchy
+from ..power.tree import (
+    DeliveryLevel,
+    DeliveryNode,
+    PowerDeliveryHierarchy,
+    build_uniform_hierarchy,
+)
 from ..reliability.stability import StabilityModel
 from ..rollout import (
     CallbackEnvelopeActuator,
@@ -187,20 +192,28 @@ def _power_trip(seed: int) -> str:
         )
         return host
 
-    tree = build_two_rack_row(
-        hosts_per_rack=3,
-        make_host=make_host,
-        rack_limit_watts=700.0,
-        row_limit_watts=1400.0,
-    )
-    rack0 = next(node for node in tree.nodes if node.name == "rack-0")
+    # One row feeding two racks of three hosts; rack-0's hosts shed first.
+    nodes = [DeliveryNode("row", DeliveryLevel.ROW, 1400.0)]
+    hosts: dict[str, tuple[Host, int]] = {}
+    for rack_index in range(2):
+        rack = f"rack-{rack_index}"
+        nodes.append(DeliveryNode(rack, DeliveryLevel.RACK_PDU, 700.0, parent="row"))
+        for host_index in range(3):
+            name = f"r{rack_index}-h{host_index}"
+            nodes.append(DeliveryNode(name, DeliveryLevel.HOST, 400.0, parent=rack))
+            hosts[name] = (make_host(name), 0 if rack_index == 0 else 10)
+    hierarchy = PowerDeliveryHierarchy(nodes)
     simulator = Simulator(seed=seed)
     utilization = 0.9
     capped: list[str] = []
 
+    def draw_watts(target: str) -> float:
+        host_draws = {name: host.power_watts(utilization) for name, (host, _) in hosts.items()}
+        return hierarchy.rollup(host_draws)[target]
+
     def on_trip(node) -> None:
         try:
-            for result in tree.enforce(utilization=utilization):
+            for result in enforce_delivery_limits(hierarchy, hosts, utilization):
                 if result.capped:
                     capped.append(
                         f"{result.host_id}: {result.original_core_ghz:.1f} -> "
@@ -224,7 +237,9 @@ def _power_trip(seed: int) -> str:
     )
     campaign = FaultCampaign(simulator, plan)
     campaign.register(
-        PowerTripInjector(nodes={"rack-0": rack0}, utilization=utilization, on_trip=on_trip)
+        PowerTripInjector(
+            nodes={"rack-0": hierarchy.nodes["rack-0"]}, draw_watts=draw_watts, on_trip=on_trip
+        )
     )
     campaign.arm()
     simulator.run(until=300.0)

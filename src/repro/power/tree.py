@@ -13,15 +13,17 @@ three numbers:
 * a **breaker** with a time-over-threshold trip curve: short excursions
   above the rated limit are survivable, sustained ones are not.
 
-Unlike :class:`repro.cluster.power_delivery.PowerNode` (which holds live
-:class:`~repro.cluster.host.Host` objects and exists for small capping
-scenarios), this model is *name-keyed and scale-free*: hosts are leaf
-names with per-host draws supplied from outside, so the same tree
-drives an 8-host crisis experiment and a region-sized rollup.
+The model is *name-keyed and scale-free*: hosts are leaf names with
+per-host draws supplied from outside, so the same tree drives a
+six-host ``power-trip`` scenario, an 8-host crisis experiment and a
+region-sized rollup. Capping live :class:`~repro.cluster.host.Host`
+objects down to every rated limit is
+:func:`repro.cluster.power_cap.enforce_delivery_limits`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -71,12 +73,15 @@ class BreakerCurve:
     cooling_per_second: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.trip_seconds_at_2x <= 0:
-            raise ConfigurationError("trip_seconds_at_2x must be positive")
-        if self.instant_trip_ratio <= 1.0:
-            raise ConfigurationError("instant_trip_ratio must exceed 1.0")
-        if self.cooling_per_second < 0:
-            raise ConfigurationError("cooling_per_second cannot be negative")
+        # Written so that NaN fails each check: a NaN curve never trips.
+        if not 0.0 < self.trip_seconds_at_2x < math.inf:
+            raise ConfigurationError("trip_seconds_at_2x must be positive and finite")
+        if not 1.0 < self.instant_trip_ratio < math.inf:
+            raise ConfigurationError("instant_trip_ratio must exceed 1.0 and be finite")
+        if not 0.0 <= self.cooling_per_second < math.inf:
+            raise ConfigurationError(
+                "cooling_per_second must be non-negative and finite"
+            )
 
     @property
     def heat_threshold(self) -> float:
@@ -108,7 +113,9 @@ class Breaker:
         """Integrate one control tick of draw; returns True on a new trip."""
         if self.tripped:
             return False
-        if dt_s < 0:
+        # One comparison per tick that also rejects NaN, which would
+        # poison ``heat`` for good and keep the breaker from ever tripping.
+        if not dt_s >= 0.0:
             raise ConfigurationError("dt must be non-negative")
         ratio = draw_watts / rated_watts
         if ratio >= self.curve.instant_trip_ratio:
@@ -145,11 +152,14 @@ class DeliveryNode:
     breaker: Breaker = field(default_factory=Breaker)
 
     def __post_init__(self) -> None:
-        if self.rated_watts <= 0:
-            raise ConfigurationError(f"{self.name}: rated limit must be positive")
-        if self.oversubscription < 1.0:
+        # NaN fails both checks: a NaN-rated breaker would never trip.
+        if not 0.0 < self.rated_watts < math.inf:
             raise ConfigurationError(
-                f"{self.name}: oversubscription ratio must be >= 1.0"
+                f"{self.name}: rated limit must be positive and finite"
+            )
+        if not 1.0 <= self.oversubscription < math.inf:
+            raise ConfigurationError(
+                f"{self.name}: oversubscription ratio must be >= 1.0 and finite"
             )
 
     @property

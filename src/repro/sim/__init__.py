@@ -10,8 +10,6 @@ from .events import Event, EventQueue
 from .kernel import Simulator
 from .processes import OpenLoopSource, PiecewiseSchedule, ScheduleStep
 from .random import RandomStreams, split_seed
-from .resources import Resource, Store
-from .trace import SimTrace, TraceEvent
 
 __all__ = [
     "Event",
@@ -22,8 +20,4 @@ __all__ = [
     "ScheduleStep",
     "RandomStreams",
     "split_seed",
-    "Resource",
-    "Store",
-    "SimTrace",
-    "TraceEvent",
 ]

@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster.host import Host
-from repro.cluster.power_delivery import PowerNode
 from repro.cluster.vm import VMInstance, VMSpec
 from repro.control.channel import LossyChannel
 from repro.faults import (
@@ -59,6 +58,7 @@ from repro.faults import (
 )
 from repro.faults.scenarios import SCENARIOS, run_scenarios
 from repro.power.predictor import PeakPowerPredictor
+from repro.power.tree import DeliveryLevel, DeliveryNode
 from repro.reliability.stability import StabilityModel
 from repro.sim.kernel import Simulator
 from repro.telemetry.sensors import FaultySensor, VirtualSensor
@@ -192,10 +192,8 @@ class _LoggedPredictor(PeakPowerPredictor):
         super().clear_bias()
 
 
-def _rack(name: str, limit_watts: float) -> PowerNode:
-    host = Host(f"{name}-host")
-    host.place(VMInstance(vm_id=f"{name}-vm", spec=VMSpec(vcores=8, memory_gb=32.0)))
-    return PowerNode(name=name, limit_watts=limit_watts, hosts=[(host, 0)])
+def _rack(name: str, rated_watts: float) -> DeliveryNode:
+    return DeliveryNode(name, DeliveryLevel.RACK_PDU, rated_watts)
 
 
 def _junction() -> JunctionModel:
@@ -237,16 +235,19 @@ def _register(kind: FaultKind, campaign: FaultCampaign, log: _Log,
             )
         )
     elif kind is FaultKind.POWER_TRIP:
-        # The rack (draw 118.88 W) breaches once derated; the row does not.
+        # Each node feeds one 8-vcore host: the rack (draw 118.88 W)
+        # breaches once derated; the row does not.
+        host = Host("rack-host")
+        host.place(VMInstance(vm_id="rack-vm", spec=VMSpec(vcores=8, memory_gb=32.0)))
         nodes = {"rack": _rack("rack", 150.0), "row": _rack("row", 1000.0)}
         campaign.register(
             PowerTripInjector(
                 nodes=nodes,
-                utilization=0.9,
-                on_trip=lambda node: log("on_trip", node.name, node.limit_watts),
+                draw_watts=lambda target: host.power_watts(0.9),
+                on_trip=lambda node: log("on_trip", node.name, node.rated_watts),
             )
         )
-        return lambda: [f"{name}.limit_watts={node.limit_watts!r}" for name, node in nodes.items()]
+        return lambda: [f"{name}.limit_watts={node.rated_watts!r}" for name, node in nodes.items()]
     elif kind.value.startswith("sensor-"):
         sensors = {name: _LoggedSensor(log, name, seed) for name in ("tj0", "tj1")}
         register_sensor_injectors(campaign, sensors)
@@ -352,7 +353,9 @@ def validation_pins() -> dict[str, str]:
         campaign.register(ThermalExcursionInjector({"cpu": _junction()}, lambda target: 600.0))
 
     def trip(campaign):
-        campaign.register(PowerTripInjector(nodes={"rack": _rack("rack", 500.0)}))
+        campaign.register(
+            PowerTripInjector(nodes={"rack": _rack("rack", 500.0)}, draw_watts=lambda target: 0.0)
+        )
 
     def sensors(campaign):
         register_sensor_injectors(

@@ -1,5 +1,7 @@
 """Tests for the cluster substrate: VMs, hosts, placement, capping, fleet."""
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -333,6 +335,22 @@ class TestPowerCap:
         assert result.capped
         assert result.final_core_ghz < OC1.core_ghz
         assert host.power_watts(1.0) <= before - 20.0
+
+    @pytest.mark.parametrize(
+        "bin_ghz, min_core_ghz",
+        [
+            (math.nan, 1.2),
+            (math.inf, 1.2),
+            (0.1, math.nan),
+            (0.1, math.inf),
+            (0.1, 0.0),
+            (0.1, -1.0),
+        ],
+    )
+    def test_rejects_bad_settings_at_construction(self, bin_ghz, min_core_ghz):
+        # Only the constructor: enforce with a NaN bin would never return.
+        with pytest.raises(ConfigurationError):
+            PowerCapGovernor(bin_ghz=bin_ghz, min_core_ghz=min_core_ghz)
 
     def test_impossible_cap_raises(self):
         host = self._loaded_host()

@@ -1,9 +1,8 @@
-"""Tests for the extension modules: predictive scaling, Monte Carlo
-reliability, TCO sensitivity, and the Figure 5–8 use-case experiments."""
+"""Tests for the extension modules: Monte Carlo reliability, TCO
+sensitivity, and the Figure 5–8 use-case experiments."""
 
 import pytest
 
-from repro.autoscale import PredictiveTrigger, TrendForecaster
 from repro.errors import ConfigurationError, TCOError
 from repro.experiments.usecases import run_fig5, run_fig6, run_fig7, run_fig8
 from repro.reliability import (
@@ -13,87 +12,7 @@ from repro.reliability import (
     simulate_fleet,
 )
 from repro.tco import sweep_energy_share, sweep_immersion_pue, sweep_oversubscription
-from repro.telemetry import TimeSeries
 from repro.thermal import HFE_7000
-
-
-class TestTrendForecaster:
-    def _rising_series(self, slope=0.001, start=0.2, samples=30, dt=5.0):
-        series = TimeSeries()
-        for index in range(samples):
-            time = index * dt
-            series.record(time, start + slope * time)
-        return series, (samples - 1) * dt
-
-    def test_extrapolates_linear_trend(self):
-        series, now = self._rising_series()
-        forecast = TrendForecaster(window_s=300.0).forecast(series, now, 60.0)
-        expected = 0.2 + 0.001 * (now + 60.0)
-        assert forecast.predicted == pytest.approx(expected, abs=0.01)
-        assert forecast.slope_per_s == pytest.approx(0.001, abs=1e-5)
-
-    def test_too_little_data_returns_none(self):
-        series = TimeSeries()
-        series.record(0.0, 0.5)
-        assert TrendForecaster().forecast(series, 0.0, 60.0) is None
-
-    def test_flat_series_zero_slope(self):
-        series = TimeSeries()
-        for index in range(10):
-            series.record(index * 5.0, 0.4)
-        forecast = TrendForecaster().forecast(series, 45.0, 60.0)
-        assert forecast.slope_per_s == pytest.approx(0.0, abs=1e-9)
-
-    def test_prediction_clamped(self):
-        series, now = self._rising_series(slope=0.01)
-        forecast = TrendForecaster().forecast(series, now, 600.0)
-        assert forecast.predicted <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TrendForecaster(window_s=0.0)
-        series, now = self._rising_series()
-        with pytest.raises(ConfigurationError):
-            TrendForecaster().forecast(series, now, -1.0)
-
-
-class TestPredictiveTrigger:
-    def _trigger(self):
-        return PredictiveTrigger(
-            TrendForecaster(window_s=300.0), threshold=0.5, deploy_latency_s=60.0
-        )
-
-    def test_fires_ahead_of_crossing(self):
-        series = TimeSeries()
-        # Rising at 0.0015/s, sitting at ~0.42 now: the 0.5 threshold is
-        # ~55 s away, inside the 60 s deploy window.
-        for index in range(30):
-            series.record(index * 5.0, 0.20 + 0.0015 * index * 5.0)
-        trigger = self._trigger()
-        assert trigger.should_preprovision(series, 145.0)
-        assert trigger.residual_exposure_s(series, 145.0) > 0.0
-
-    def test_quiet_when_flat(self):
-        series = TimeSeries()
-        for index in range(30):
-            series.record(index * 5.0, 0.30)
-        trigger = self._trigger()
-        assert not trigger.should_preprovision(series, 145.0)
-        assert trigger.residual_exposure_s(series, 145.0) == 0.0
-
-    def test_quiet_when_crossing_beyond_deploy_window(self):
-        series = TimeSeries()
-        # Very gentle slope: crossing is minutes away; reactive is fine.
-        for index in range(30):
-            series.record(index * 5.0, 0.30 + 0.0001 * index * 5.0)
-        trigger = self._trigger()
-        assert not trigger.should_preprovision(series, 145.0)
-
-    def test_defers_to_reactive_once_over_threshold(self):
-        series = TimeSeries()
-        for index in range(30):
-            series.record(index * 5.0, 0.55)
-        assert not self._trigger().should_preprovision(series, 145.0)
 
 
 class TestMonteCarlo:

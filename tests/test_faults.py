@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster.host import Host
 from repro.cluster.lifecycle import VMLifecycleManager
-from repro.cluster.power_delivery import PowerNode
 from repro.cluster.vm import VMInstance, VMSpec, VMState
 from repro.control.channel import LossyChannel
 from repro.errors import (
@@ -42,6 +41,7 @@ from repro.faults import (
     register_channel_injectors,
 )
 from repro.faults.scenarios import SCENARIOS, list_fault_catalog, run_scenarios
+from repro.power.tree import DeliveryLevel, DeliveryNode
 from repro.sim.kernel import Simulator
 from repro.thermal.junction import JunctionModel
 
@@ -272,7 +272,7 @@ class TestInjectors:
     def test_power_trip_derates_then_restores(self):
         host = Host("h0")
         host.place(VMInstance(vm_id="vm", spec=VMSpec(vcores=8, memory_gb=32.0)))
-        node = PowerNode(name="rack", limit_watts=1000.0, hosts=[(host, 0)])
+        node = DeliveryNode("rack", DeliveryLevel.RACK_PDU, 1000.0)
         plan = FaultPlan(
             seed=1,
             specs=(
@@ -287,10 +287,12 @@ class TestInjectors:
         )
         simulator = Simulator()
         campaign = FaultCampaign(simulator, plan)
-        campaign.register(PowerTripInjector(nodes={"rack": node}))
+        campaign.register(
+            PowerTripInjector(nodes={"rack": node}, draw_watts=lambda target: host.power_watts())
+        )
         campaign.arm()
         simulator.run(until=30.0)
-        assert node.limit_watts == pytest.approx(1000.0)
+        assert node.rated_watts == pytest.approx(1000.0)
         kinds = [event.kind for event in campaign.timeline]
         assert kinds[0] == "power-trip" and kinds[-1] == "recovered"
 
@@ -303,7 +305,10 @@ class TestInjectors:
         )
         campaign = FaultCampaign(Simulator(), plan)
         campaign.register(
-            PowerTripInjector(nodes={"rack": PowerNode(name="rack", limit_watts=100.0)})
+            PowerTripInjector(
+                nodes={"rack": DeliveryNode("rack", DeliveryLevel.RACK_PDU, 100.0)},
+                draw_watts=lambda target: 0.0,
+            )
         )
         with pytest.raises(InjectionError):
             campaign.arm()

@@ -1,16 +1,10 @@
-"""Tests for the power-delivery hierarchy and oversubscription handling."""
+"""Tests for capping live hosts down to a power-delivery hierarchy's limits."""
 
 import pytest
 
-from repro.cluster import (
-    Host,
-    PowerCapGovernor,
-    PowerNode,
-    VMInstance,
-    VMSpec,
-    build_two_rack_row,
-)
+from repro.cluster import Host, VMInstance, VMSpec, enforce_delivery_limits
 from repro.errors import ConfigurationError, PowerBudgetExceeded
+from repro.power import DeliveryLevel, DeliveryNode, PowerDeliveryHierarchy
 from repro.silicon import OC1
 from repro.thermal import TWO_PHASE_IMMERSION
 
@@ -24,82 +18,103 @@ def loaded_host(host_id: str, overclocked: bool = True) -> Host:
     return host
 
 
+def two_rack_row(
+    hosts_per_rack: int,
+    rack_rated: float,
+    row_rated: float,
+    host_rated: float = 400.0,
+    overclocked: bool = True,
+) -> tuple[PowerDeliveryHierarchy, dict[str, tuple[Host, int]]]:
+    """One row feeding two racks; rack-0's hosts get priority 0 (shed first)."""
+    nodes = [DeliveryNode("row", DeliveryLevel.ROW, row_rated)]
+    hosts = {}
+    for rack_index in range(2):
+        rack = f"rack-{rack_index}"
+        nodes.append(DeliveryNode(rack, DeliveryLevel.RACK_PDU, rack_rated, parent="row"))
+        for host_index in range(hosts_per_rack):
+            name = f"r{rack_index}-h{host_index}"
+            nodes.append(DeliveryNode(name, DeliveryLevel.HOST, host_rated, parent=rack))
+            hosts[name] = (loaded_host(name, overclocked), 0 if rack_index == 0 else 10)
+    return PowerDeliveryHierarchy(nodes), hosts
+
+
+def draws(hosts: dict[str, tuple[Host, int]], utilization: float) -> dict[str, float]:
+    return {name: host.power_watts(utilization) for name, (host, _) in hosts.items()}
+
+
+def breaches(hierarchy: PowerDeliveryHierarchy, hosts, utilization: float) -> list[str]:
+    rolled = hierarchy.rollup(draws(hosts, utilization))
+    return [name for name, node in hierarchy.nodes.items() if rolled[name] > node.rated_watts]
+
+
 class TestPowerNode:
     def test_aggregation(self):
-        hosts = [(loaded_host("a"), 0), (loaded_host("b"), 10)]
-        node = PowerNode("rack", limit_watts=1000.0, hosts=hosts)
-        assert node.draw_watts(1.0) == pytest.approx(
-            sum(h.power_watts(1.0) for h, _ in hosts)
+        hierarchy, hosts = two_rack_row(hosts_per_rack=2, rack_rated=1000.0, row_rated=2000.0)
+        rolled = hierarchy.rollup(draws(hosts, 1.0))
+        assert rolled["rack-0"] == pytest.approx(
+            hosts["r0-h0"][0].power_watts(1.0) + hosts["r0-h1"][0].power_watts(1.0)
         )
-        assert node.provisioned_watts() > node.draw_watts(0.5)
+        assert rolled["row"] == pytest.approx(rolled["rack-0"] + rolled["rack-1"])
+        provisioned = sum(host.peak_power_watts() for host, _ in hosts.values())
+        assert provisioned > hierarchy.rollup(draws(hosts, 0.5))["row"]
 
     def test_oversubscription_ratio(self):
-        node = PowerNode("rack", limit_watts=250.0, hosts=[(loaded_host("a"), 0)])
-        assert node.oversubscription_ratio() > 1.0
+        hierarchy, hosts = two_rack_row(
+            hosts_per_rack=1, rack_rated=250.0, row_rated=500.0, host_rated=250.0
+        )
+        provisioned = sum(host.peak_power_watts() for host, _ in hosts.values())
+        assert provisioned / hierarchy.root.rated_watts > 1.0
+        assert hierarchy.worst_headroom_fraction(draws(hosts, 1.0)) < 0.0
 
     def test_node_shape_validation(self):
         with pytest.raises(ConfigurationError):
-            PowerNode("bad", limit_watts=0.0)
-        child = PowerNode("child", limit_watts=100.0)
+            DeliveryNode("bad", DeliveryLevel.RACK_PDU, 0.0)
         with pytest.raises(ConfigurationError):
-            PowerNode(
-                "both", limit_watts=100.0, children=[child],
-                hosts=[(loaded_host("x"), 0)],
+            PowerDeliveryHierarchy(
+                [
+                    DeliveryNode("rack", DeliveryLevel.RACK_PDU, 100.0),
+                    DeliveryNode("host", DeliveryLevel.HOST, 100.0, parent="rack"),
+                    DeliveryNode("nested", DeliveryLevel.HOST, 100.0, parent="host"),
+                ]
             )
 
 
 class TestPowerDeliveryTree:
     def test_no_breach_when_sized_generously(self):
-        tree = build_two_rack_row(
-            hosts_per_rack=2,
-            make_host=loaded_host,
-            rack_limit_watts=2000.0,
-            row_limit_watts=4000.0,
-        )
-        assert tree.find_breaches(1.0) == []
-        assert tree.overclock_headroom_watts(1.0) > 0
+        hierarchy, hosts = two_rack_row(hosts_per_rack=2, rack_rated=2000.0, row_rated=4000.0)
+        assert breaches(hierarchy, hosts, 1.0) == []
+        assert hierarchy.worst_headroom_fraction(draws(hosts, 1.0)) > 0
 
     def test_breach_detected_under_oversubscription(self):
-        tree = build_two_rack_row(
-            hosts_per_rack=2,
-            make_host=loaded_host,
-            rack_limit_watts=2000.0,
-            row_limit_watts=700.0,  # row breaker oversubscribed
+        # The row breaker is oversubscribed; each rack fits on its own.
+        hierarchy, hosts = two_rack_row(hosts_per_rack=2, rack_rated=700.0, row_rated=700.0)
+        assert breaches(hierarchy, hosts, 1.0) == ["row"]
+        row_draw = hierarchy.rollup(draws(hosts, 1.0))["row"]
+        assert hierarchy.worst_headroom_fraction(draws(hosts, 1.0)) == pytest.approx(
+            (700.0 - row_draw) / 700.0
         )
-        breaches = tree.find_breaches(1.0)
-        assert any(report.node_name == "row" for report in breaches)
-        assert all(report.excess_watts > 0 for report in breaches)
+        assert row_draw > 700.0
 
     def test_enforce_caps_low_priority_first(self):
-        tree = build_two_rack_row(
-            hosts_per_rack=1,
-            make_host=loaded_host,
-            rack_limit_watts=2000.0,
-            row_limit_watts=450.0,
-            low_priority_rack=0,
-        )
-        results = tree.enforce(PowerCapGovernor(), utilization=1.0)
-        assert tree.find_breaches(1.0) == []
+        hierarchy, hosts = two_rack_row(hosts_per_rack=1, rack_rated=450.0, row_rated=450.0)
+        results = enforce_delivery_limits(hierarchy, hosts, utilization=1.0)
+        assert breaches(hierarchy, hosts, 1.0) == []
         capped = {r.host_id: r.capped for r in results}
         assert capped["r0-h0"]          # low priority shed
         assert not capped["r1-h0"]      # high priority kept its clock
 
     def test_enforce_raises_when_impossible(self):
-        tree = build_two_rack_row(
-            hosts_per_rack=1,
-            make_host=loaded_host,
-            rack_limit_watts=2000.0,
-            row_limit_watts=50.0,
+        hierarchy, hosts = two_rack_row(
+            hosts_per_rack=1, rack_rated=50.0, row_rated=50.0, host_rated=50.0
         )
         with pytest.raises(PowerBudgetExceeded):
-            tree.enforce(PowerCapGovernor(), utilization=1.0)
+            enforce_delivery_limits(hierarchy, hosts, utilization=1.0)
 
     def test_headroom_is_tightest_breaker(self):
-        tree = build_two_rack_row(
-            hosts_per_rack=1,
-            make_host=lambda hid: loaded_host(hid, overclocked=False),
-            rack_limit_watts=500.0,
-            row_limit_watts=410.0,
+        hierarchy, hosts = two_rack_row(
+            hosts_per_rack=1, rack_rated=410.0, row_rated=410.0, overclocked=False
         )
-        draw = tree.root.draw_watts(0.5)
-        assert tree.overclock_headroom_watts(0.5) == pytest.approx(410.0 - draw)
+        draw = hierarchy.rollup(draws(hosts, 0.5))["row"]
+        assert hierarchy.worst_headroom_fraction(draws(hosts, 0.5)) == pytest.approx(
+            (410.0 - draw) / 410.0
+        )

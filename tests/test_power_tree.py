@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -46,6 +48,15 @@ class TestTreeValidation:
     def test_rejects_nonpositive_rating(self):
         with pytest.raises(ConfigurationError):
             DeliveryNode("n", DeliveryLevel.ROW, 0.0, parent="u")
+
+    @pytest.mark.parametrize(
+        "rated, oversubscription",
+        [(math.nan, 1.0), (math.inf, 1.0), (2000.0, math.nan), (2000.0, math.inf)],
+    )
+    def test_rejects_non_finite_rating_or_oversubscription(self, rated, oversubscription):
+        # A NaN-rated breaker never trips, even at 10x its draw.
+        with pytest.raises(ConfigurationError):
+            DeliveryNode("n", DeliveryLevel.ROW, rated, oversubscription, parent="u")
 
     def test_rejects_two_roots(self):
         with pytest.raises(ConfigurationError):
@@ -119,6 +130,28 @@ class TestBreakerCurve:
             breaker.observe(5.0 + tick, 1.0, 50.0, 100.0)
         assert breaker.heat == 0.0
         assert not breaker.tripped
+
+    @pytest.mark.parametrize(
+        "field", ["trip_seconds_at_2x", "instant_trip_ratio", "cooling_per_second"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # With a NaN trip_seconds_at_2x, a breaker held at 2.5x never trips.
+        with pytest.raises(ConfigurationError):
+            BreakerCurve(**{field: value})
+
+    def test_nan_dt_rejected_without_poisoning_heat(self):
+        def trip_tick(breaker: Breaker) -> int | None:
+            for tick in range(20):
+                if breaker.observe(float(tick), 1.0, 250.0, 100.0):
+                    return tick
+            return None
+
+        breaker = Breaker()
+        with pytest.raises(ConfigurationError):
+            breaker.observe(0.0, math.nan, 250.0, 100.0)
+        assert breaker.heat == 0.0
+        assert trip_tick(breaker) == trip_tick(Breaker()) == 4
 
     def test_trip_latches_until_reset(self):
         breaker = Breaker()
