@@ -22,7 +22,15 @@ exact ``repr``:
   SDC audit on and one corrupting host, through a power cap that is
   later cleared, a VM crash and an overclock disable/enable: the chain
   signature every 50 ticks, the final counters and health counters, and
-  the timeline signature.
+  the timeline signature;
+* 400-tick ``ServiceCore`` runs in each mode, with a 2.5x surge at tick
+  100, on two configs that reach the dispatch path's edge branches: a
+  dispatch slack longer than the critical deadline with six requests in
+  flight at most, which sheds every critical request at dispatch and
+  often finds the fleet full with nothing queued, and a fleet that
+  takes only two requests in flight: the chain signature every 50
+  ticks, the final counters, the backlog's deepest point and the
+  timeline signature.
 
 ``tests/test_golden_des.py`` recomputes the pins and diffs them against
 the file; it never writes it. Regenerate (and review the diff) with
@@ -78,6 +86,15 @@ OPS_SCHEDULE = {
     90: {"op": "vm-crash", "host": "h2"},
     120: {"op": "overclock", "enable": False},
     160: {"op": "overclock", "enable": True},
+}
+
+
+#: The dispatch-edge chains: ticks, the surge, and the two configs.
+DISPATCH_TICKS = 400
+DISPATCH_OPS = {100: {"op": "demand-surge", "factor": 2.5, "duration_s": 60.0}}
+DISPATCH_CONFIGS = {
+    "slack-0.6-in-flight-6": ServiceConfig(dispatch_slack_s=0.6, max_in_flight=6),
+    "in-flight-2": ServiceConfig(max_in_flight=2),
 }
 
 
@@ -175,6 +192,19 @@ def ops_pin(mode: str, seed: int) -> dict[str, object]:
     }
 
 
+def dispatch_pin(config: str, mode: str, seed: int) -> dict[str, object]:
+    """A dispatch-edge chain: signatures, counters, deepest backlog, timeline."""
+    core = ServiceCore(seed, DISPATCH_CONFIGS[config], mode)
+    signatures = _chain(core, DISPATCH_TICKS, DISPATCH_OPS)
+    snapshot = core.snapshot()
+    return {
+        "signatures": signatures,
+        "counters": repr(core.counters),
+        "queue_max_depth": repr(snapshot["queue_max_depth"]),
+        "timeline_signature": snapshot["timeline_signature"],
+    }
+
+
 def compute() -> dict[str, object]:
     return {
         "generated_with": versions(),
@@ -189,6 +219,13 @@ def compute() -> dict[str, object]:
         },
         "ops": {
             mode: {str(seed): ops_pin(mode, seed) for seed in SEEDS} for mode in SERVICE_MODES
+        },
+        "dispatch": {
+            config: {
+                mode: {str(seed): dispatch_pin(config, mode, seed) for seed in SEEDS}
+                for mode in SERVICE_MODES
+            }
+            for config in DISPATCH_CONFIGS
         },
     }
 

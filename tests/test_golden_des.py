@@ -17,10 +17,12 @@ import json
 import pytest
 
 from .golden.des_pins import (
+    DISPATCH_CONFIGS,
     GOLDEN_PATH,
     MODES,
     SEEDS,
     SERVICE_MODES,
+    dispatch_pin,
     fig15_pin,
     fig16_pin,
     ops_pin,
@@ -43,7 +45,8 @@ def _context() -> str:
 def test_golden_covers_every_mode_and_seed():
     assert GOLDEN["seeds"] == list(SEEDS)
     assert sorted(GOLDEN["fig16"]) == sorted(mode.value for mode in MODES)
-    for pins in (GOLDEN["storm"], GOLDEN["ops"]):
+    assert sorted(GOLDEN["dispatch"]) == sorted(DISPATCH_CONFIGS)
+    for pins in (GOLDEN["storm"], GOLDEN["ops"], *GOLDEN["dispatch"].values()):
         assert sorted(pins) == sorted(SERVICE_MODES)
     for section in (
         *GOLDEN["fig16"].values(),
@@ -51,6 +54,7 @@ def test_golden_covers_every_mode_and_seed():
         GOLDEN["service"],
         *GOLDEN["storm"].values(),
         *GOLDEN["ops"].values(),
+        *(pins for config in GOLDEN["dispatch"].values() for pins in config.values()),
     ):
         assert sorted(section) == sorted(str(seed) for seed in SEEDS)
 
@@ -84,3 +88,13 @@ def test_audited_ops_chain_matches_golden(mode):
     for seed in SEEDS:
         expected = GOLDEN["ops"][mode][str(seed)]
         assert ops_pin(mode, seed) == expected, f"{mode} seed {seed}: {_context()}"
+
+
+@pytest.mark.parametrize("mode", SERVICE_MODES)
+@pytest.mark.parametrize("config", sorted(DISPATCH_CONFIGS))
+def test_dispatch_edges_match_golden(config, mode):
+    for seed in SEEDS:
+        expected = GOLDEN["dispatch"][config][mode][str(seed)]
+        assert dispatch_pin(config, mode, seed) == expected, (
+            f"{config} {mode} seed {seed}: {_context()}"
+        )
