@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -111,8 +111,9 @@ test-rollout:
 # faults.json (fault timelines, callbacks, validations and
 # faults-scenario output hashes), des.json (shrunk Fig. 15/16
 # auto-scaler runs, a 300-tick service signature chain, the overload
-# storm in naive and robust mode, and an SDC-audited service chain
-# through the power-cap, vm-crash and overclock ops) and ladders.json
+# storm in naive and robust mode, an SDC-audited service chain
+# through the power-cap, vm-crash and overclock ops, and service chains
+# on two configs that reach the dispatch edge branches) and ladders.json
 # (every field of both arms of the degraded-telemetry, partition,
 # envelope-rollout, oversubscription, SDC-hunt and heat-wave
 # comparisons, timelines by signature, and the SHA-256 of every seeded
@@ -149,9 +150,25 @@ bench-smoke:
 # BoundedDeadlineQueue.push/pop/expire, QueueDelayController.observe,
 # BrownoutLadder.observe, Host.power_watts, TankFluidRC.set_heat/sample,
 # ActuationLink.heartbeat, CommandBus.send, RunJournal.record and
-# FaultTimeline.record. Requests must keep flowing through them.
+# FaultTimeline.record. Requests must keep flowing through them: every
+# service request passes admit, route and submit, while push and pop
+# see only the requests that wait (one that finds the backlog empty and
+# the fleet below max_in_flight is dispatched on arrival), so
+# service.queue_ops counts real queueing.
 bench-test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest bench -q
+
+# Every benchmark workload once at full size (~40 s), failing on any
+# incorrect operation (bench/run.py exits non-zero). bench-test's
+# episodes are shrunk (a 40-tick storm, a 20-tick WAL, reference checks
+# up to 600 ticks), so only this reaches the storm's condenser
+# excursions (ticks 1200 and 3200) and a 2500-tick WAL resume.
+BENCH_WORKLOADS := autoscale-ramp service-storm service-wal ladder-campaign
+bench-check:
+	for workload in $(BENCH_WORKLOADS); do \
+		$(PYTHON) bench/run.py --workload $$workload --seed 1 --seconds 0.01 --trace 0 \
+			|| exit 1; \
+	done
 
 clean-cache:
 	rm -rf .repro_cache

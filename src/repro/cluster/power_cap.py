@@ -188,9 +188,10 @@ def enforce_delivery_limits(
     ``hosts`` maps each host-level node name to its (host, priority).
     Breached nodes are resolved bottom-up, and within each one
     lower-priority hosts shed frequency first (the paper's recommended
-    mitigation, after Dynamo/Flex). Raises :class:`PowerBudgetExceeded`
-    when a breach survives even with every host under it at its
-    frequency floor.
+    mitigation, after Dynamo/Flex). Raises :class:`PowerBudgetExceeded`,
+    naming the node, when a breach survives even with every host under
+    it at its frequency floor. Those hosts stay at their floor: that is
+    the most the cap can shed.
     """
     governor = PowerCapGovernor()
     results: list[CapResult] = []
@@ -201,7 +202,10 @@ def enforce_delivery_limits(
         under = [hosts[host] for host in hierarchy.subtree_hosts(name)]
         limit = hierarchy.nodes[name].rated_watts
         if sum(host.power_watts(utilization) for host, _ in under) > limit:
-            results.extend(governor.enforce_priority_aware(under, limit, utilization))
+            try:
+                results.extend(governor.enforce_priority_aware(under, limit, utilization))
+            except PowerBudgetExceeded as error:
+                raise PowerBudgetExceeded(f"delivery node {name!r}: {error}") from None
     return results
 
 

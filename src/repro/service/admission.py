@@ -16,6 +16,7 @@ bit-identically under the same seed and tick schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -51,10 +52,13 @@ class TokenBucket:
     _last_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ConfigurationError("token rate must be positive")
-        if self.burst <= 0:
-            raise ConfigurationError("token burst must be positive")
+        # Each check fails on NaN, which passes a ``<= 0`` test.
+        if not 0.0 < self.rate_per_s < math.inf:
+            raise ConfigurationError("token rate must be positive and finite")
+        if not 0.0 < self.burst < math.inf:
+            raise ConfigurationError("token burst must be positive and finite")
+        if not self.level < math.inf:
+            raise ConfigurationError("token level must be finite")
         if self.level < 0:
             self.level = self.burst  # start full: cold services accept bursts
 
@@ -92,8 +96,12 @@ class ClassPolicy:
     deadline_s: float
 
     def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
-            raise ConfigurationError("class deadline must be positive")
+        if not 0.0 < self.rate_per_s < math.inf:
+            raise ConfigurationError("class rate must be positive and finite")
+        if not 0.0 < self.burst < math.inf:
+            raise ConfigurationError("class burst must be positive and finite")
+        if not 0.0 < self.deadline_s < math.inf:
+            raise ConfigurationError("class deadline must be positive and finite")
 
 
 class AdmissionController:

@@ -48,8 +48,10 @@ class BoundedDeadlineQueue:
 
     ``pop`` serves strictly by priority class (critical before standard
     before batch) and FIFO within a class; ``expire`` drops everything
-    whose deadline has passed. All shed work is counted by cause so the
-    telemetry endpoint can account for every refused request.
+    whose deadline has passed; ``pass_through`` accounts a request that
+    finds the queue empty and is dispatched at once. All shed work is
+    counted by cause so the telemetry endpoint can account for every
+    refused request.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -62,30 +64,47 @@ class BoundedDeadlineQueue:
         #: The same deques, most important class first. Every mutation
         #: below works in place, so this tuple never goes stale.
         self._ordered = tuple(self._queues[klass] for klass in sorted(self._queues))
+        #: Requests queued across every class, kept by each mutation below
+        #: so reading it costs no walk over the deques.
+        self.depth = 0
         self.shed_overflow = 0
         self.shed_expired = 0
         self.shed_brownout = 0
         self.max_depth = 0
 
     def __len__(self) -> int:
-        return sum(map(len, self._ordered))
+        return self.depth
 
     def __bool__(self) -> bool:
-        return any(self._ordered)
-
-    @property
-    def depth(self) -> int:
-        return len(self)
+        return self.depth > 0
 
     def push(self, request: Request) -> bool:
         """Enqueue ``request``; False (and a shed count) when full."""
-        depth = len(self)
+        depth = self.depth
         if depth >= self.capacity:
             self.shed_overflow += 1
             return False
         self._queues[request.klass].append(request)
-        if depth >= self.max_depth:
-            self.max_depth = depth + 1
+        self.depth = depth = depth + 1
+        if depth > self.max_depth:
+            self.max_depth = depth
+        return True
+
+    def pass_through(self, deadline_s: float, now_s: float, slack_s: float) -> bool:
+        """Account a request that arrives at an empty backlog and leaves at once.
+
+        Records exactly what ``push`` followed by ``pop(now_s, slack_s)``
+        records for it, without touching the deques: the backlog was one
+        deep, and the request is shed as expired when its deadline is
+        inside the dispatch slack. True when it may be dispatched. Only
+        an empty backlog may pass a request through; a queued request
+        would be popped ahead of it.
+        """
+        if not self.max_depth:
+            self.max_depth = 1
+        if deadline_s <= now_s + slack_s:
+            self.shed_expired += 1
+            return False
         return True
 
     def expire(self, now_s: float) -> int:
@@ -96,6 +115,7 @@ class BoundedDeadlineQueue:
             dropped += len(queue) - len(kept)
             queue.clear()
             queue.extend(kept)
+        self.depth -= dropped
         self.shed_expired += dropped
         return dropped
 
@@ -104,6 +124,7 @@ class BoundedDeadlineQueue:
         queue = self._queues[klass]
         dropped = len(queue)
         queue.clear()
+        self.depth -= dropped
         self.shed_brownout += dropped
         return dropped
 
@@ -119,6 +140,7 @@ class BoundedDeadlineQueue:
         for queue in self._ordered:
             while queue:
                 request = queue.popleft()
+                self.depth -= 1
                 if request.deadline_s <= horizon:
                     self.shed_expired += 1
                     continue

@@ -34,6 +34,7 @@ Two modes share every line of workload and physics:
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
@@ -156,26 +157,31 @@ class ServiceConfig:
     history_ticks: int = 512
 
     def __post_init__(self) -> None:
-        if self.tick_s <= 0:
-            raise ConfigurationError("tick length must be positive")
+        # Each check fails on NaN, which passes a ``<= 0`` test: an
+        # infinite tick would never finish drawing its arrivals, and an
+        # infinite rate turns the arrival clock into NaN.
+        if not 0.0 < self.tick_s < math.inf:
+            raise ConfigurationError("tick length must be positive and finite")
         if self.hosts < 1 or self.vcores_per_host < 1:
             raise ConfigurationError("the fleet needs at least one host and vcore")
         if len(self.class_mix) != len(PriorityClass):
             raise ConfigurationError("class_mix needs one share per priority class")
-        if any(share < 0 for share in self.class_mix):
-            raise ConfigurationError("class_mix shares cannot be negative")
-        if abs(sum(self.class_mix) - 1.0) > 1e-9:
+        if not all(0.0 <= share < math.inf for share in self.class_mix):
+            raise ConfigurationError("class_mix shares must be non-negative and finite")
+        if not abs(sum(self.class_mix) - 1.0) <= 1e-9:
             raise ConfigurationError("class_mix must sum to 1")
         if self.queue_capacity < 1 or self.max_in_flight < 1:
             raise ConfigurationError("queue capacity and in-flight bound must be >= 1")
-        if self.degraded_demand_scale <= 0 or self.degraded_demand_scale > 1:
+        if not 0.0 < self.degraded_demand_scale <= 1.0:
             raise ConfigurationError("degraded_demand_scale must be in (0, 1]")
-        if self.tank_capacity_watts <= 0 or self.fluid_mass_grams <= 0:
-            raise ConfigurationError("tank parameters must be positive")
-        if self.theta_c_per_w <= 0 or self.tjmax_c <= 0:
-            raise ConfigurationError("thermal parameters must be positive")
-        if self.trip_recovery_s <= 0:
-            raise ConfigurationError("trip recovery time must be positive")
+        if not (
+            0.0 < self.tank_capacity_watts < math.inf and 0.0 < self.fluid_mass_grams < math.inf
+        ):
+            raise ConfigurationError("tank parameters must be positive and finite")
+        if not (0.0 < self.theta_c_per_w < math.inf and 0.0 < self.tjmax_c < math.inf):
+            raise ConfigurationError("thermal parameters must be positive and finite")
+        if not 0.0 < self.trip_recovery_s < math.inf:
+            raise ConfigurationError("trip recovery time must be positive and finite")
         if self.history_ticks < 1:
             raise ConfigurationError("history must keep at least one tick")
         if not 0.0 <= self.sdc_audit_fraction <= 1.0:
@@ -184,6 +190,11 @@ class ServiceConfig:
             raise ConfigurationError("sdc_corruption_per_request must be in [0, 1]")
         if self.sdc_audit_fraction > 0.0 and self.hosts < 2:
             raise ConfigurationError("the SDC audit needs a second host to re-execute on")
+        # The float settings without a range above must still be finite.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{spec.name} must be finite, got {value!r}")
         config_by_name(self.base_config_name)
         config_by_name(self.boost_config_name)
 
@@ -285,15 +296,22 @@ class ServiceCore:
         self._placed_vms = {index: 0 for index in range(cfg.hosts)}
 
         # Per-class tables the request path reads instead of rebuilding
-        # them per arrival: each class's deadline, and the classes that
-        # carry traffic with their share, in priority order.
+        # them per request: each class's deadline and completion callback,
+        # and the classes that carry traffic with their share and arrival
+        # callback, in priority order.
         policies = cfg.policies()
         self._class_deadline_s = {klass: policy.deadline_s for klass, policy in policies.items()}
+        self._on_done_by_class = {
+            klass: partial(self._on_done, deadline_s)
+            for klass, deadline_s in self._class_deadline_s.items()
+        }
         self._class_shares = tuple(
-            (klass, cfg.class_mix[int(klass)])
+            (klass, cfg.class_mix[int(klass)], partial(self._on_arrival, klass))
             for klass in sorted(PriorityClass)
             if cfg.class_mix[int(klass)] > 0
         )
+        self._max_in_flight = cfg.max_in_flight
+        self._dispatch_slack_s = cfg.dispatch_slack_s
 
         # Thermal plant shared by the fleet.
         self._tank = TankFluidRC(
@@ -503,10 +521,10 @@ class ServiceCore:
         # Arrivals for this tick, scheduled as simulation events so
         # admission and dispatch happen at true arrival times.
         rate = self._trace.rate_rps(start) * self._surge_factor_value
-        at, on_arrival = self._sim.at, self._on_arrival
-        for klass, share in self._class_shares:
+        at = self._sim.at
+        for klass, share, on_arrival in self._class_shares:
             for time_s in self._arrivals[klass].arrivals(start, cfg.tick_s, rate * share):
-                at(time_s, partial(on_arrival, klass, time_s), name="arrival")
+                at(time_s, on_arrival, "arrival")
         self._sim.run(until=start + cfg.tick_s)
         now = self._sim.now
 
@@ -550,13 +568,15 @@ class ServiceCore:
     # ------------------------------------------------------------------
     # Arrival → admission → backlog → dispatch
     # ------------------------------------------------------------------
-    def _on_arrival(self, klass: PriorityClass, time_s: float) -> None:
+    def _on_arrival(self, klass: PriorityClass) -> None:
+        # The event fires at its scheduled time, so the clock is the
+        # arrival time, exactly.
+        now = self._sim.now
         self.counters.offered += 1
         if self.mode == "naive":
             # No admission, no queue, no bounds: dispatch immediately.
             self.counters.admitted += 1
-            deadline = time_s + self._class_deadline_s[klass]
-            vm = self._lb.route(time_s, on_complete=self._completion_hook(deadline))
+            vm = self._lb.route(now, 1.0, self._on_done_by_class[klass])
             if vm is None:
                 self.counters.lost_to_trips += 1
             elif self._auditor is not None:
@@ -564,12 +584,19 @@ class ServiceCore:
                 self._observe_result(self._request_seq, vm)
             return
         assert self._admission is not None and self._queue is not None
-        verdict = self._admission.admit(time_s, klass)
-        if verdict != "admitted":
+        if self._admission.admit(now, klass) != "admitted":
             return
         self._request_seq += 1
-        request = Request(self._request_seq, klass, time_s, time_s + self._class_deadline_s[klass])
-        if self._queue.push(request):
+        queue = self._queue
+        deadline_s = now + self._class_deadline_s[klass]
+        if not queue.depth and self._lb.in_flight < self._max_in_flight:
+            # Nothing waits and the fleet has room: the request passes
+            # through the backlog's accounting and dispatches now.
+            if queue.pass_through(deadline_s, now, self._dispatch_slack_s):
+                self._tick_delays.append(0.0)
+                self._dispatch(klass, now, 1.0, self._request_seq)
+            return
+        if queue.push(Request(self._request_seq, klass, now, deadline_s)):
             self._drain()
 
     def _corruption_probability(self, host_id: str) -> float:
@@ -622,46 +649,53 @@ class ServiceCore:
                 self._sim.now, "sdc-audit", charged, f"mismatch request={rid}"
             )
 
-    def _completion_hook(self, deadline_s: float):
-        def done(completion_s: float, _arrival_s: float) -> None:
-            if completion_s <= deadline_s:
-                self.counters.completed_ok += 1
-            else:
-                self.counters.completed_late += 1
-            if self._queue:  # robust mode with work waiting
-                self._drain()
+    def _on_done(self, deadline_s: float, completion_s: float, arrival_s: float) -> None:
+        """Count a completion on time or late against its class's
+        ``deadline_s`` (relative to arrival), then refill the fleet."""
+        if completion_s <= arrival_s + deadline_s:
+            self.counters.completed_ok += 1
+        else:
+            self.counters.completed_late += 1
+        queue = self._queue
+        if queue is not None and queue.depth:  # robust mode with work waiting
+            self._drain()
 
-        return done
+    def _dispatch(
+        self, klass: PriorityClass, arrival_s: float, scale: float, request_id: int
+    ) -> bool:
+        """Route one admitted request to the fleet; False when no host is up."""
+        if self._degraded_mode:
+            scale *= self.config.degraded_demand_scale
+            self.counters.degraded_served += 1
+        vm = self._lb.route(arrival_s, scale, self._on_done_by_class[klass])
+        if vm is None:
+            self.counters.lost_to_trips += 1
+            return False
+        if self._auditor is not None:
+            self._observe_result(request_id, vm)
+        return True
 
     def _drain(self) -> None:
         """Dispatch queued work while the fleet has in-flight headroom."""
-        if not self._queue:  # naive mode, or nothing waiting
+        queue = self._queue
+        if queue is None or not queue.depth:  # naive mode, or nothing waiting
             return
         now = self._sim.now
-        # Only the routes below change the fleet's in-flight count here:
-        # count them instead of re-summing every VM on each pass.
+        slack_s = self._dispatch_slack_s
+        # Only the dispatches below change the fleet's in-flight count
+        # here: count them instead of re-summing every VM on each pass.
         in_flight = self._lb.in_flight
-        while in_flight < self.config.max_in_flight:
-            request = self._queue.pop(now, slack_s=self.config.dispatch_slack_s)
+        while in_flight < self._max_in_flight:
+            request = queue.pop(now, slack_s)
             if request is None:
                 return
             self._tick_delays.append(max(0.0, now - request.arrival_s))
-            scale = request.demand_scale
-            if self._degraded_mode:
-                scale *= self.config.degraded_demand_scale
-                self.counters.degraded_served += 1
-            vm = self._lb.route(
-                request.arrival_s,
-                demand_scale=scale,
-                on_complete=self._completion_hook(request.deadline_s),
-            )
-            if vm is None:
-                self.counters.lost_to_trips += 1
+            if not self._dispatch(
+                request.klass, request.arrival_s, request.demand_scale, request.request_id
+            ):
                 return
             in_flight += 1
-            if self._auditor is not None:
-                self._observe_result(request.request_id, vm)
-            if not self._queue:
+            if not queue.depth:
                 return
 
     # ------------------------------------------------------------------

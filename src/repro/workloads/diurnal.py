@@ -34,12 +34,13 @@ class DiurnalTrace:
     period_s: float = 86_400.0
 
     def __post_init__(self) -> None:
-        if self.trough_rps < 0:
-            raise ConfigurationError("trough rate cannot be negative")
-        if self.peak_rps < self.trough_rps:
-            raise ConfigurationError("peak rate cannot undercut the trough")
-        if self.period_s <= 0:
-            raise ConfigurationError("diurnal period must be positive")
+        # Each check fails on NaN, which passes a ``< 0`` test.
+        if not 0.0 <= self.trough_rps < math.inf:
+            raise ConfigurationError("trough rate must be non-negative and finite")
+        if not self.trough_rps <= self.peak_rps < math.inf:
+            raise ConfigurationError("peak rate must be finite and cannot undercut the trough")
+        if not 0.0 < self.period_s < math.inf:
+            raise ConfigurationError("diurnal period must be positive and finite")
 
     def rate_rps(self, time_s: float) -> float:
         """Offered request rate at simulated time ``time_s``."""

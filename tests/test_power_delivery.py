@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Host, VMInstance, VMSpec, enforce_delivery_limits
+from repro.cluster import Host, PowerCapGovernor, VMInstance, VMSpec, enforce_delivery_limits
 from repro.errors import ConfigurationError, PowerBudgetExceeded
 from repro.power import DeliveryLevel, DeliveryNode, PowerDeliveryHierarchy
 from repro.silicon import OC1
@@ -107,8 +107,10 @@ class TestPowerDeliveryTree:
         hierarchy, hosts = two_rack_row(
             hosts_per_rack=1, rack_rated=50.0, row_rated=50.0, host_rated=50.0
         )
-        with pytest.raises(PowerBudgetExceeded):
+        with pytest.raises(PowerBudgetExceeded, match="delivery node 'r0-h0'"):
             enforce_delivery_limits(hierarchy, hosts, utilization=1.0)
+        # The breached node's host stays at its floor: the most the cap can shed.
+        assert hosts["r0-h0"][0].config.core_ghz == PowerCapGovernor().min_core_ghz
 
     def test_headroom_is_tightest_breaker(self):
         hierarchy, hosts = two_rack_row(

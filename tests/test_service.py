@@ -74,6 +74,20 @@ class TestAdmission:
         with pytest.raises(ConfigurationError):
             controller.admit(0.0, PriorityClass.BATCH)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_bucket_and_policy_rejected(self, bad):
+        # A NaN rate once admitted every take: it passed the `<= 0` check.
+        for kwargs in (
+            {"rate_per_s": bad, "burst": 5.0},
+            {"rate_per_s": 10.0, "burst": bad},
+            {"rate_per_s": 10.0, "burst": 5.0, "level": bad},
+        ):
+            with pytest.raises(ConfigurationError):
+                TokenBucket(**kwargs)
+        for args in ((bad, 5.0, 1.0), (10.0, bad, 1.0), (10.0, 5.0, bad)):
+            with pytest.raises(ConfigurationError):
+                ClassPolicy(*args)
+
 
 class _SeparateRefillBucket:
     """Reference token bucket: refill to ``now``, then take, as two steps."""
@@ -240,6 +254,7 @@ class _ListQueueModel:
 
 _CLASSES = st.sampled_from(list(PriorityClass))
 _STEP = st.floats(min_value=0.0, max_value=0.5)
+_SLACK = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
 _QUEUE_OPS = st.one_of(
     # (kind, clock advance, class, arrival lag, deadline offset)
     st.tuples(
@@ -250,7 +265,16 @@ _QUEUE_OPS = st.one_of(
         st.floats(min_value=-0.2, max_value=2.0),
     ),
     # (kind, clock advance, slack)
-    st.tuples(st.just("pop"), _STEP, st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+    st.tuples(st.just("pop"), _STEP, _SLACK),
+    # (kind, clock advance, class, arrival lag, deadline offset, slack)
+    st.tuples(
+        st.just("pass_through"),
+        _STEP,
+        _CLASSES,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-0.2, max_value=2.0),
+        _SLACK,
+    ),
     st.tuples(st.just("expire"), _STEP),
     st.tuples(st.just("shed"), _STEP, _CLASSES),
 )
@@ -272,6 +296,15 @@ def test_backlog_matches_list_per_class_model(capacity, ops):
         elif kind == "pop":
             (slack_s,) = args
             assert queue.pop(now_s, slack_s) is model.pop(now_s, slack_s)
+        elif kind == "pass_through":
+            # Only an empty backlog passes a request through; there it
+            # must record what a push followed by a pop records.
+            klass, lag, offset, slack_s = args
+            if not model.depth():
+                arrival_s = now_s - lag
+                request = Request(seq, klass, arrival_s, arrival_s + offset)
+                dispatched = model.push(request) and model.pop(now_s, slack_s) is request
+                assert queue.pass_through(request.deadline_s, now_s, slack_s) == dispatched
         elif kind == "expire":
             assert queue.expire(now_s) == model.expire(now_s)
         else:
@@ -334,6 +367,16 @@ class TestBrownoutLadder:
 
 
 class TestDiurnal:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_trace_rejected(self, bad):
+        for kwargs in (
+            {"trough_rps": bad, "peak_rps": 50.0},
+            {"trough_rps": 10.0, "peak_rps": bad},
+            {"trough_rps": 10.0, "peak_rps": 50.0, "period_s": bad},
+        ):
+            with pytest.raises(ConfigurationError):
+                DiurnalTrace(**kwargs)
+
     def test_trace_endpoints(self):
         trace = DiurnalTrace(trough_rps=10.0, peak_rps=50.0, period_s=100.0)
         assert trace.rate_rps(0.0) == pytest.approx(10.0)
@@ -443,6 +486,33 @@ class TestServiceCore:
             ServiceConfig(tick_s=0.0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(class_mix=(0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "tick_s",
+            "peak_rps",
+            "period_s",
+            "degraded_demand_scale",
+            "tank_capacity_watts",
+            "theta_c_per_w",
+            "trip_recovery_s",
+            "dispatch_slack_s",
+            "service_cv",
+            "warmup_s",
+        ],
+    )
+    def test_config_rejects_non_finite_settings(self, field, bad):
+        # Construction only: an infinite tick would never finish its
+        # first tick's arrivals, and an infinite peak rate serves nothing.
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_class_mix(self, bad):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(class_mix=(bad, 0.5, 0.5))
 
 
 class TestServiceSession:
