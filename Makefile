@@ -158,7 +158,7 @@ bench-smoke:
 bench-test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest bench -q
 
-# Every benchmark workload once at full size (~40 s), failing on any
+# Every benchmark workload once at full size (~45 s), failing on any
 # incorrect operation (bench/run.py exits non-zero). bench-test's
 # episodes are shrunk (a 40-tick storm, a 20-tick WAL, reference checks
 # up to 600 ticks), so only this reaches the storm's condenser

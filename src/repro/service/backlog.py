@@ -65,7 +65,7 @@ class BoundedDeadlineQueue:
         #: below works in place, so this tuple never goes stale.
         self._ordered = tuple(self._queues[klass] for klass in sorted(self._queues))
         #: Requests queued across every class, kept by each mutation below
-        #: so reading it costs no walk over the deques.
+        #: so reading it (or ``len``, or truth) costs no walk over the deques.
         self.depth = 0
         self.shed_overflow = 0
         self.shed_expired = 0
@@ -74,9 +74,6 @@ class BoundedDeadlineQueue:
 
     def __len__(self) -> int:
         return self.depth
-
-    def __bool__(self) -> bool:
-        return self.depth > 0
 
     def push(self, request: Request) -> bool:
         """Enqueue ``request``; False (and a shed count) when full."""
