@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check paper-check clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -131,6 +131,19 @@ lint:
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q --benchmark-only
+
+# Regenerate the paper tables under benchmarks/results/ (~3 min) and fail
+# if a committed table changed or a new file appeared there, so a change
+# that moves a table cannot land silently. perf_engine.txt and
+# perf_health.txt hold timings; --benchmark-only skips the two tests that
+# write them, so they are never rewritten here.
+paper-check:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q --benchmark-only
+	git diff --exit-code -- benchmarks/results
+	@untracked="$$(git ls-files --others --exclude-standard -- benchmarks/results)"; \
+	if [ -n "$$untracked" ]; then \
+		echo "untracked files in benchmarks/results:"; echo "$$untracked"; exit 1; \
+	fi
 
 # Perf microbenchmarks that finish in well under 30 s: the sweep
 # engine on a tiny grid (serial == parallel == cached output) and the

@@ -13,7 +13,8 @@ the machinery a real tank deployment needs when they do not:
   so a dark host fails fast instead of soaking the retry budget.
 * :class:`HostAgent` — the host-side endpoint: idempotency-key dedup
   (a retried command applies once even when the first ack was the
-  thing that got lost), sequence-based staleness rejection (a delayed
+  thing that got lost; a key is forgotten once no copy of its command
+  can still arrive), sequence-based staleness rejection (a delayed
   old ``set-frequency`` cannot overwrite a newer one), and the
   **dead-man lease** — miss ``lease_misses`` controller heartbeats and
   the host autonomously reverts its frequency to base, so a partitioned
@@ -27,6 +28,8 @@ whole run's actuation story is auditable and signature-checkable.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -59,6 +62,10 @@ class CommandKind(Enum):
 
 #: The verb of every tick's liveness message, bound once.
 _HEARTBEAT = CommandKind.HEARTBEAT
+
+#: ``now`` scaled by this is ``now`` less the float-rounding margin of
+#: the dedup horizon (see :meth:`HostAgent.receive`).
+_LESS_ROUNDING_MARGIN = 1.0 - 1e-9
 
 
 class Command(NamedTuple):
@@ -127,6 +134,13 @@ class HostAgent:
     supervision, and ack emission. The dead-man lease arms at
     construction: a controller that never heartbeats is indistinguishable
     from a partition, and the host de-rates either way.
+
+    The dedup cache remembers each key's ack only as long as a copy of
+    its command can still arrive (see :meth:`receive`), so it holds
+    about ``resend_span_s + longest delay`` seconds of commands rather
+    than the whole run's. :meth:`CommandBus.attach` sets
+    :attr:`resend_span_s` and :attr:`command_channel`; an agent on no
+    bus keeps every ack.
     """
 
     def __init__(
@@ -166,6 +180,13 @@ class HostAgent:
         #: Set by :meth:`CommandBus.attach`; acks travel back through it.
         self.reply: Callable[[Ack], None] | None = None
         self._acked: dict[str, Ack] = {}
+        #: The cached acks in the order they were applied: their
+        #: ``applied_at_s`` never decreases, so expiry pops from the left.
+        self._ack_order: deque[Ack] = deque()
+        #: Longest time from a command's first send to its last resend,
+        #: and the channel its copies ride; both set by the bus.
+        self.resend_span_s = math.inf
+        self.command_channel = channel
         self._last_frequency_sequence = -1
         self._last_heartbeat_s = simulator.now
         self.lease_expiries = 0
@@ -181,25 +202,59 @@ class HostAgent:
         return self.frequency_ghz > self.base_frequency_ghz + 1e-12
 
     @property
+    def cached_acks(self) -> int:
+        """How many acks the dedup cache holds now."""
+        return len(self._acked)
+
+    @property
     def lease_deadline_s(self) -> float:
         """Virtual time at which the current lease expires."""
         return self._last_heartbeat_s + self.lease_misses * self.heartbeat_interval_s
 
     def receive(self, command: Command) -> None:
-        """Process one delivered command (possibly a duplicate)."""
+        """Process one delivered command (possibly a duplicate).
+
+        Before the dedup lookup, forget every ack that no copy of its
+        command can still reach. The argument is exact: an ack first
+        applied at ``a`` belongs to a command issued at or before ``a``;
+        the bus sends every copy of that key by ``issue + span``
+        (:meth:`RetryPolicy.resend_span_s`), and each copy arrives at
+        most the channel's longest delay ``D`` after its send. So once
+        ``now > a + span + D`` every copy has already arrived, and the
+        key can never be looked up again. ``D`` is the longest delay used
+        so far, and every send of the key happened before ``now``, so
+        each copy's delay is already counted in it.
+
+        The kernel's event times and this bound are sums of at most
+        ``4 * max_attempts + 5`` floats no larger than ``now``, each
+        rounded by at most half an ulp; the bound therefore also waits
+        ``1e-9 * now``, which covers that rounding for any policy with
+        fewer than a million attempts.
+        """
         now = self._sim.now
         # Any controller message proves the control link is alive — a
         # partitioned host misses everything, so everything renews.
         self._last_heartbeat_s = now
+        acked = self._acked
+        order = self._ack_order
+        if order:
+            cutoff = (
+                now * _LESS_ROUNDING_MARGIN
+                - self.resend_span_s
+                - self.command_channel.longest_delay_s
+            )
+            while order and order[0].applied_at_s < cutoff:
+                del acked[order.popleft().idempotency_key]
         key = command.idempotency_key
-        cached = self._acked.get(key)
+        cached = acked.get(key)
         if cached is not None:
             self.counters.dedup_hits += 1
             self._send_ack(cached)
             return
         # Applying may change the frequency the ack reports: apply first.
         detail = self._apply(command)
-        ack = self._acked[key] = Ack(key, self.host_id, now, self.frequency_ghz, detail)
+        ack = acked[key] = Ack(key, self.host_id, now, self.frequency_ghz, detail)
+        order.append(ack)
         self._send_ack(ack)
 
     def _apply(self, command: Command) -> str:
@@ -283,12 +338,16 @@ class CommandBus:
         counters: ControlPlaneCounters | None = None,
         timeline: "FaultTimeline | None" = None,
     ) -> None:
-        if ack_timeout_s <= 0:
-            raise ConfigurationError("ack_timeout_s must be positive")
+        # Written so that NaN fails it: a NaN timeout would only surface
+        # at the first send, as an event scheduled at NaN time.
+        if not 0.0 < ack_timeout_s < math.inf:
+            raise ConfigurationError("ack_timeout_s must be positive and finite")
         self._sim = simulator
         self.channel = channel
         self.retry_policy = retry_policy if retry_policy is not None else COMMAND_RETRIES
         self.ack_timeout_s = ack_timeout_s
+        #: Longest time from a command's first send to its last resend.
+        self.resend_span_s = self.retry_policy.resend_span_s(ack_timeout_s)
         self.breaker_threshold = breaker_threshold
         self.breaker_open_s = breaker_open_s
         self.seed = seed
@@ -308,11 +367,17 @@ class CommandBus:
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, agent: HostAgent) -> HostAgent:
-        """Register a host endpoint (its acks route back to this bus)."""
+        """Register a host endpoint (its acks route back to this bus).
+
+        The agent learns this bus's resend span and channel, which bound
+        how long it must remember each command's key.
+        """
         if agent.host_id in self._agents:
             raise ConfigurationError(f"agent {agent.host_id} is already attached")
         self._agents[agent.host_id] = agent
         agent.reply = self._receive_ack
+        agent.resend_span_s = self.resend_span_s
+        agent.command_channel = self.channel
         return agent
 
     def agent_for(self, target: str) -> HostAgent:

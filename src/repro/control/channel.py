@@ -67,7 +67,14 @@ class ChannelConfig:
 
 
 class LossyChannel:
-    """Seed-driven drop/delay/duplicate/partition transport."""
+    """Seed-driven drop/delay/duplicate/partition transport.
+
+    :attr:`longest_delay_s` is the longest delay any message has been
+    scheduled with so far: the base draw plus the target's extra-delay
+    override at send time. It only grows, so clearing an override never
+    shortens it. A host agent adds it to the bus's resend span to know
+    when no copy of a command can still be in flight.
+    """
 
     def __init__(
         self,
@@ -91,6 +98,8 @@ class LossyChannel:
         self._partition_until: dict[str, float] = {}
         # Per-target arrival event names, bound on first use.
         self._event_names: dict[str, str] = {}
+        #: Longest delay ``_schedule`` has used (see the class docstring).
+        self.longest_delay_s = 0.0
         # Counters.
         self.messages = 0
         self.delivered = 0
@@ -184,6 +193,8 @@ class LossyChannel:
         low, high = config.min_delay_s, config.max_delay_s
         base = low if high <= low else self._streams.uniform(f"delay:{target}", low, high)
         delay = base + self._extra_delay.get(target, 0.0)
+        if delay > self.longest_delay_s:
+            self.longest_delay_s = delay
 
         def arrive() -> None:
             # In-flight messages die with the link, like real packets.

@@ -15,6 +15,7 @@ never perturb each other's delays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -35,6 +36,10 @@ class RetryPolicy:
     ``jitter_fraction`` spreads each delay uniformly within
     ``±fraction`` of its nominal value, deterministically (see module
     docstring) — the standard thundering-herd defence, made replayable.
+
+    Every setting must be finite. :meth:`resend_span_s` bounds how long
+    after its first send a command can be sent again, which is how long
+    a host must remember its key to deduplicate every copy.
     """
 
     max_attempts: int = 4
@@ -44,14 +49,16 @@ class RetryPolicy:
     jitter_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        # Each check is written so that NaN fails it: a NaN delay would
+        # only surface at the first retry, inside the simulator.
+        if not 1 <= self.max_attempts < math.inf:
             raise ConfigurationError("max_attempts must be at least 1")
-        if self.base_delay_s < 0:
-            raise ConfigurationError("base_delay_s cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be at least 1.0")
-        if self.max_delay_s < self.base_delay_s:
-            raise ConfigurationError("max_delay_s cannot undercut base_delay_s")
+        if not 0.0 <= self.base_delay_s < math.inf:
+            raise ConfigurationError("base_delay_s must be finite and non-negative")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ConfigurationError("backoff_factor must be finite and at least 1.0")
+        if not self.base_delay_s <= self.max_delay_s < math.inf:
+            raise ConfigurationError("max_delay_s must be finite and at least base_delay_s")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ConfigurationError("jitter_fraction must be within [0, 1)")
 
@@ -64,9 +71,11 @@ class RetryPolicy:
         """Nominal (jitter-free) delay before retry ``attempt`` (1-based)."""
         if attempt < 1:
             raise ConfigurationError(f"retry attempts are 1-based, got {attempt}")
-        return min(
-            self.max_delay_s, self.base_delay_s * self.backoff_factor ** (attempt - 1)
-        )
+        try:
+            grown = self.base_delay_s * self.backoff_factor ** (attempt - 1)
+        except OverflowError:  # the growth passed the float range, and so the cap
+            grown = math.inf if self.base_delay_s > 0.0 else 0.0
+        return min(self.max_delay_s, grown)
 
     def jittered_backoff_s(self, attempt: int, seed: int = 0, key: str = "") -> float:
         """The delay before retry ``attempt``, jittered deterministically.
@@ -79,6 +88,23 @@ class RetryPolicy:
             return nominal
         unit = split_seed(seed, f"retry:{key}:{attempt}") / _TWO_64  # [0, 1)
         return nominal * (1.0 + self.jitter_fraction * (2.0 * unit - 1.0))
+
+    def resend_span_s(self, ack_timeout_s: float) -> float:
+        """The longest time from a command's first send to its last resend.
+
+        Retry ``n`` goes out at most ``ack_timeout_s`` after attempt
+        ``n`` (the bus waits that long for its ack) plus the jittered
+        backoff, and :meth:`jittered_backoff_s` never exceeds
+        ``backoff_s(n) * (1 + jitter_fraction)``. So the span is the sum
+        of those terms over retries ``1 .. max_attempts - 1``; it is 0
+        when the policy never retries. A breaker fast-fail skips the
+        wait for an ack and only shortens the span.
+        """
+        stretch = 1.0 + self.jitter_fraction
+        span = 0.0
+        for attempt in range(1, self.max_attempts):
+            span += ack_timeout_s + self.backoff_s(attempt) * stretch
+        return span
 
     def schedule(self, seed: int = 0, key: str = "") -> tuple[float, ...]:
         """Every retry delay this policy will use, in order."""

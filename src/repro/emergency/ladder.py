@@ -41,6 +41,7 @@ of the escalation/relaxation machinery through :class:`StagedLadder`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -75,7 +76,8 @@ class LadderConfig:
 
     Margins are ``Tjmax - Tj`` of the fleet's hottest junction, in °C.
     A stage engages when the margin falls to its threshold or below;
-    thresholds must therefore be strictly decreasing down the ladder.
+    thresholds must therefore be finite and strictly decreasing down the
+    ladder.
     """
 
     #: Margin at or below which overclock grants are revoked.
@@ -93,20 +95,24 @@ class LadderConfig:
     relax_clean_ticks: int = 3
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it: a NaN margin would
+        # pass the ordering comparison.
         rungs = (
             self.revoke_margin_c,
             self.cap_margin_c,
             self.evacuate_margin_c,
             self.shutdown_margin_c,
         )
+        if not all(-math.inf < rung < math.inf for rung in rungs):
+            raise ConfigurationError("ladder margins must be finite")
         if any(lower >= upper for upper, lower in zip(rungs, rungs[1:])):
             raise ConfigurationError(
                 "ladder margins must be strictly decreasing "
                 "(revoke > cap > evacuate > shutdown)"
             )
-        if self.hysteresis_c <= 0:
-            raise ConfigurationError("hysteresis must be positive")
-        if self.relax_clean_ticks < 1:
+        if not 0.0 < self.hysteresis_c < math.inf:
+            raise ConfigurationError("hysteresis must be positive and finite")
+        if not 1 <= self.relax_clean_ticks < math.inf:
             raise ConfigurationError("relax_clean_ticks must be at least 1")
 
     def margin_for(self, stage: EmergencyStage) -> float:

@@ -20,6 +20,7 @@ the fleet has capacity; three mechanisms keep the wait honest:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import NamedTuple
 
@@ -176,8 +177,8 @@ class QueueDelayController:
     """
 
     def __init__(self, target_s: float = 0.05, window_ticks: int = 3) -> None:
-        if target_s <= 0:
-            raise ConfigurationError("delay target must be positive")
+        if not 0.0 < target_s < math.inf:  # NaN fails it too
+            raise ConfigurationError("delay target must be positive and finite")
         if window_ticks < 1:
             raise ConfigurationError("window must be at least one tick")
         self.target_s = target_s

@@ -27,6 +27,7 @@ admissions on and off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING
@@ -61,7 +62,7 @@ class BrownoutConfig:
 
     Margins are ``slo_s - delay_signal`` in seconds. A rung engages
     when the headroom falls to its threshold or below; thresholds must
-    be strictly decreasing down the ladder.
+    be finite and strictly decreasing down the ladder.
     """
 
     #: The latency SLO the ladder defends (p99, seconds).
@@ -80,14 +81,18 @@ class BrownoutConfig:
     relax_clean_ticks: int = 3
 
     def __post_init__(self) -> None:
-        if self.slo_s <= 0:
-            raise ConfigurationError("latency SLO must be positive")
+        # Each check is written so that NaN fails it: a NaN threshold
+        # would pass every ordering comparison below.
+        if not 0.0 < self.slo_s < math.inf:
+            raise ConfigurationError("latency SLO must be positive and finite")
         rungs = (
             self.shed_headroom_s,
             self.revoke_headroom_s,
             self.degraded_headroom_s,
             self.reject_headroom_s,
         )
+        if not all(-math.inf < rung < math.inf for rung in rungs):
+            raise ConfigurationError("brownout thresholds must be finite")
         if any(lower >= upper for upper, lower in zip(rungs, rungs[1:])):
             raise ConfigurationError(
                 "brownout thresholds must be strictly decreasing "
@@ -95,6 +100,10 @@ class BrownoutConfig:
             )
         if self.slo_s <= self.shed_headroom_s:
             raise ConfigurationError("the SLO must exceed the first rung's headroom")
+        if not 0.0 < self.hysteresis_s < math.inf:
+            raise ConfigurationError("hysteresis must be positive and finite")
+        if not 1 <= self.relax_clean_ticks < math.inf:
+            raise ConfigurationError("relax_clean_ticks must be at least 1")
 
     def thresholds(self) -> dict[BrownoutStage, float]:
         return {

@@ -440,15 +440,21 @@ class ServiceCore:
         the upcoming tick index, so replay re-applies them at exactly
         the same boundary. Returns a short deterministic description
         (also recorded in the fault timeline, and therefore part of the
-        run signature).
+        run signature). Every number is checked before any state
+        changes, each check written so that NaN fails it, so a rejected
+        op leaves the core exactly as it was.
         """
         kind = op.get("op")
         now = self._sim.now
         if kind == "demand-surge":
             factor = float(op["factor"])  # type: ignore[arg-type]
             duration = float(op["duration_s"])  # type: ignore[arg-type]
-            if factor <= 0 or duration <= 0:
-                raise ConfigurationError("surge factor and duration must be positive")
+            # A NaN factor starves the arrivals; a NaN or infinite
+            # duration never ends the surge.
+            if not (0.0 < factor < math.inf and 0.0 < duration < math.inf):
+                raise ConfigurationError(
+                    "surge factor and duration must be positive and finite"
+                )
             self._surge_factor_value = factor
             self._surge_until_s = now + duration
             detail = f"factor={factor:.2f} duration={duration:.1f}s"
@@ -459,8 +465,8 @@ class ServiceCore:
             duration = float(op["duration_s"])  # type: ignore[arg-type]
             if not 0.0 <= derate <= 1.0:
                 raise ConfigurationError("derate must be within [0, 1]")
-            if duration <= 0:
-                raise ConfigurationError("excursion duration must be positive")
+            if not 0.0 < duration < math.inf:
+                raise ConfigurationError("excursion duration must be positive and finite")
             self._tank.set_capacity(now, self.config.tank_capacity_watts * derate)
             self._excursion_until_s = now + duration
             detail = f"derate={derate:.2f} duration={duration:.1f}s"
@@ -468,14 +474,13 @@ class ServiceCore:
             return detail
         if kind == "power-cap":
             watts = op.get("watts")
-            self._operator_cap_watts = None if watts is None else float(watts)  # type: ignore[arg-type]
-            if self._operator_cap_watts is not None and self._operator_cap_watts <= 0:
-                raise ConfigurationError("power cap must be positive (or null to clear)")
-            detail = (
-                "cleared"
-                if self._operator_cap_watts is None
-                else f"cap={self._operator_cap_watts:.0f}W"
-            )
+            cap = None if watts is None else float(watts)  # type: ignore[arg-type]
+            if cap is not None and not 0.0 < cap < math.inf:
+                raise ConfigurationError(
+                    "power cap must be positive and finite (or null to clear)"
+                )
+            self._operator_cap_watts = cap
+            detail = "cleared" if cap is None else f"cap={cap:.0f}W"
             self.timeline.record(now, "op-power-cap", "fleet", detail)
             return detail
         if kind == "overclock":

@@ -95,8 +95,12 @@ class ServerVM:
             raise ConfigurationError("a server VM needs at least one vcore")
         if not 0.0 <= scalable_fraction <= 1.0:
             raise ConfigurationError("scalable_fraction must be within [0, 1]")
-        if service_mean_s <= 0:
-            raise ConfigurationError("service mean must be positive")
+        # Written so that NaN fails them: a NaN mean completes every
+        # request at once.
+        if not 0.0 < service_mean_s < math.inf:
+            raise ConfigurationError("service mean must be positive and finite")
+        if not 0.0 <= service_cv < math.inf:
+            raise ConfigurationError("service CV must be finite and non-negative")
         if not 0.0 < base_frequency_ghz < math.inf:
             raise ConfigurationError("base frequency must be positive and finite")
         self._sim = simulator

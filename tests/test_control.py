@@ -1,10 +1,14 @@
 """Tests for the control plane: retry policy, breaker, channel, bus,
 dead-man lease, and the reconciliation loop."""
 
+import dataclasses
 import inspect
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control import (
     Ack,
@@ -20,12 +24,14 @@ from repro.control import (
     Reconciler,
     RetryPolicy,
 )
+from repro.control import link as link_module
 from repro.control.bus import CMD_FAILED
 from repro.control.channel import CMD_LOST
 from repro.control.retry import COMMAND_RETRIES, ENGINE_POOL_RETRIES
 from repro.engine import SweepEngine
 from repro.errors import ConfigurationError, ControlError
 from repro.faults.timeline import FaultTimeline
+from repro.service import ServiceCore
 from repro.sim import Simulator
 from repro.sim.random import split_seed
 from repro.telemetry.counters import ControlPlaneCounters
@@ -109,6 +115,61 @@ class TestRetryPolicy:
     def test_schedule_length_matches_retry_budget(self):
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.1)
         assert len(policy.schedule()) == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", ["max_attempts", "base_delay_s", "backoff_factor", "max_delay_s"]
+    )
+    def test_non_finite_settings_rejected(self, field, bad):
+        # Construction only: a NaN base delay reads as a 30 s backoff, and
+        # a NaN cap makes every backoff NaN.
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(**{field: bad})
+
+    def test_backoff_past_the_float_range_stays_capped(self):
+        # 2.0 ** 1099 overflows; every retry that far out waits the cap.
+        policy = RetryPolicy(max_attempts=1200, base_delay_s=1.0, max_delay_s=30.0)
+        assert policy.backoff_s(1100) == 30.0
+        assert RetryPolicy(max_attempts=1200, base_delay_s=0.0).backoff_s(1100) == 0.0
+        assert policy.resend_span_s(1.0) == pytest.approx(
+            1199 * 1.0 + sum(policy.backoff_s(n) for n in range(1, 1200))
+        )
+
+    def test_resend_span_sums_each_retrys_worst_case(self):
+        policy = RetryPolicy(max_attempts=4, base_delay_s=1.0, jitter_fraction=0.5)
+        # Retries wait 1, 2 and 4 s nominal, up to 1.5x with jitter, each
+        # after a 0.5 s ack timeout.
+        assert policy.resend_span_s(0.5) == 3 * 0.5 + (1.0 + 2.0 + 4.0) * 1.5
+        assert RetryPolicy(max_attempts=1).resend_span_s(0.5) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        max_attempts=st.integers(1, 8),
+        base_delay_s=st.floats(0.0, 10.0),
+        backoff_factor=st.floats(1.0, 4.0),
+        jitter_fraction=st.floats(0.0, 0.999),
+        ack_timeout_s=st.floats(0.001, 5.0),
+        seed=st.integers(0, 2**63),
+        key=st.text(max_size=12),
+    )
+    def test_resend_span_bounds_every_jittered_schedule(
+        self, max_attempts, base_delay_s, backoff_factor, jitter_fraction, ack_timeout_s, seed, key
+    ):
+        policy = RetryPolicy(
+            max_attempts=max_attempts,
+            base_delay_s=base_delay_s,
+            backoff_factor=backoff_factor,
+            jitter_fraction=jitter_fraction,
+        )
+        stretch = 1.0 + jitter_fraction
+        for attempt, delay in enumerate(policy.schedule(seed=seed, key=key), start=1):
+            assert delay <= policy.backoff_s(attempt) * stretch
+        # The bus's latest possible resend, added the way the simulator
+        # adds event times: an ack timeout, then the jittered backoff.
+        last_send = 0.0
+        for delay in policy.schedule(seed=seed, key=key):
+            last_send = last_send + ack_timeout_s + delay
+        assert last_send <= policy.resend_span_s(ack_timeout_s) * (1.0 + 1e-12)
 
 
 class TestEnginePolicyBridge:
@@ -383,6 +444,13 @@ class TestCommandBus:
         sim, channel, bus, agent, _ = make_bus()
         with pytest.raises(ConfigurationError):
             bus.attach(agent)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_ack_timeout_must_be_positive_and_finite(self, bad):
+        # Construction only: a NaN timeout used to fail at the first send.
+        sim = Simulator(seed=1)
+        with pytest.raises(ConfigurationError):
+            CommandBus(sim, LossyChannel(sim, seed=1), ack_timeout_s=bad)
 
     def test_dedup_applies_once_but_reacks(self):
         sim, _, bus, agent, applied = make_bus()
@@ -866,3 +934,248 @@ class TestActuationLink:
         assert first.retries == 4
         assert "commands-sent=5" in first.describe()
         assert ControlPlaneCounters().describe() == "(no control-plane activity)"
+
+
+# ----------------------------------------------------------------------
+# Dedup horizon: an agent forgets a key once no copy can still arrive
+# ----------------------------------------------------------------------
+class TestDedupHorizon:
+    def test_channel_remembers_its_longest_delay(self):
+        sim = Simulator(seed=1)
+        channel = LossyChannel(sim, seed=1, config=ChannelConfig(max_delay_s=0.5))
+        channel.set_extra_delay("h0", 2.0)
+        channel.deliver("h0", lambda: None)
+        longest = channel.longest_delay_s
+        assert 2.0 <= longest <= 2.5
+        channel.clear_extra_delay("h0")
+        channel.deliver("h0", lambda: None)
+        assert channel.longest_delay_s == longest  # clearing never shortens it
+
+    def test_agent_forgets_a_key_just_past_the_horizon(self):
+        sim, channel, bus, agent, applied = make_bus(
+            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=1.0, jitter_fraction=0.5),
+            ack_timeout_s=0.5,
+        )
+        # One retry: a 0.5 s ack timeout, then at most 1.5 s of backoff.
+        assert bus.resend_span_s == agent.resend_span_s == 2.0
+        channel.set_extra_delay("h0", 0.25)
+        bus.send(CommandKind.SET_FREQUENCY, "h0", 4.1)  # applied at 0.25
+        channel.clear_extra_delay("h0")
+        sim.run(until=1.0)
+        assert agent.cached_acks == 1
+        # Still inside 0.25 + 2.0 + 0.25: the set-frequency key is kept.
+        sim.at(2.5, lambda: bus.send(CommandKind.HEARTBEAT, "h0"))
+        sim.run(until=2.55)
+        assert agent.cached_acks == 2
+        # Past it: the next delivery forgets the key.
+        sim.at(2.6, lambda: bus.send(CommandKind.HEARTBEAT, "h0"))
+        sim.run(until=2.65)
+        assert agent.cached_acks == 2
+        assert applied == [(0.25, 4.1)]
+
+    def test_agent_on_no_bus_keeps_every_ack(self):
+        sim = Simulator(seed=1)
+        agent = HostAgent(sim, "h0", LossyChannel(sim, seed=1), base_frequency_ghz=3.4)
+        assert agent.resend_span_s == math.inf
+        for sequence, time_s in enumerate((0.0, 100.0, 10_000.0)):
+            sim.run(until=time_s)
+            agent.receive(Command(CommandKind.HEARTBEAT, "h0", f"k{sequence}", sequence))
+        assert agent.cached_acks == 3
+
+    def test_service_core_cache_is_flat_over_a_long_run(self):
+        """A robust core holds one horizon of acks per agent, not its uptime.
+
+        Each agent gets one heartbeat per 0.25 s tick plus the rare
+        set-frequency; with the default 20.5 s resend span and a perfect
+        channel, one horizon holds 83 ticks. Before expiry each agent
+        held one ack per tick (4,000 here).
+        """
+        core = ServiceCore(seed=3)
+        link = core._link
+        agents = [link.agent(host) for host in link.hosts]
+        horizon_s = link.bus.resend_span_s + link.channel.longest_delay_s
+        bound = 2 * (math.floor(horizon_s / core.config.tick_s) + 1)
+        core.run_ticks(2_000)
+        at_2000 = [agent.cached_acks for agent in agents]
+        core.run_ticks(2_000)
+        at_4000 = [agent.cached_acks for agent in agents]
+        assert at_2000 == at_4000
+        assert all(size <= bound for size in at_4000), (at_4000, bound)
+
+
+class _RememberEveryAck(HostAgent):
+    """The agent before its dedup cache expired: it keeps every ack."""
+
+    def receive(self, command):
+        now = self._sim.now
+        self._last_heartbeat_s = now
+        key = command.idempotency_key
+        cached = self._acked.get(key)
+        if cached is not None:
+            self.counters.dedup_hits += 1
+            self._send_ack(cached)
+            return
+        detail = self._apply(command)
+        ack = self._acked[key] = Ack(key, self.host_id, now, self.frequency_ghz, detail)
+        self._send_ack(ack)
+
+
+_ORACLE_HOSTS = ("h0", "h1", "h2")
+_ORACLE_RUN_S = 150.0
+_ORACLE_SENDS = ("set-frequency", "heartbeat", "deploy", "retire")
+_ORACLE_FAULTS = (
+    "drop",
+    "clear-drop",
+    "duplicate",
+    "clear-duplicate",
+    "extra-delay",
+    "clear-extra-delay",
+    "partition",
+    "heal",
+)
+
+
+def _oracle_act(link, verb, host, value):
+    """One scheduled action; ``value`` in [0, 1] is scaled per verb."""
+    channel = link.channel
+    if verb == "set-frequency":
+        link.set_frequency(3.4 + 0.8 * value, hosts=(host,))
+    elif verb == "heartbeat":
+        link.heartbeat()
+    elif verb == "deploy":
+        link.deploy_vm(f"vm-{int(value * 4)}", host)
+    elif verb == "retire":
+        link.retire_vm(f"vm-{int(value * 4)}", host)
+    elif verb == "drop":
+        channel.set_drop(host, value)
+    elif verb == "clear-drop":
+        channel.clear_drop(host)
+    elif verb == "duplicate":
+        channel.set_duplicate(host, 0.95 * value)
+    elif verb == "clear-duplicate":
+        channel.clear_duplicate(host)
+    elif verb == "extra-delay":
+        channel.set_extra_delay(host, 20.0 * value)
+    elif verb == "clear-extra-delay":
+        channel.clear_extra_delay(host)
+    elif verb == "partition":
+        channel.partition(host, None if value > 0.9 else 60.0 * value)
+    else:
+        channel.heal(host)
+
+
+def _oracle_run(agent_class, params, schedule):
+    """Drive one link through ``schedule``; return everything observable."""
+    sim = Simulator(seed=params["seed"])
+    timeline = FaultTimeline()
+    link = ActuationLink(
+        sim,
+        seed=params["seed"],
+        channel_config=params["channel"],
+        retry_policy=params["policy"],
+        ack_timeout_s=params["ack_timeout_s"],
+        lease_misses=params["lease_misses"],
+        reconcile_interval_s=params["reconcile_interval_s"],
+        breaker_threshold=params["breaker_threshold"],
+        breaker_open_s=params["breaker_open_s"],
+        timeline=timeline,
+    )
+    log = []
+    with mock.patch.object(link_module, "HostAgent", agent_class):
+        for host in _ORACLE_HOSTS:
+            link.add_host(
+                host,
+                3.4,
+                apply_frequency=lambda ghz, h=host: log.append((sim.now, h, ghz)),
+                deploy_vm=lambda token, h=host: log.append((sim.now, h, "deploy", token)),
+                retire_vm=lambda token, h=host: log.append((sim.now, h, "retire", token)),
+            )
+    acks = []
+    observe = link.bus.on_ack
+
+    def on_ack(ack):
+        acks.append(ack)
+        if observe is not None:
+            observe(ack)
+
+    link.bus.on_ack = on_ack
+    sim.every(params["heartbeat_period_s"], link.heartbeat, name="oracle:heartbeat")
+    # A steady stream of retried commands: the boost toggled fleet-wide.
+    boost = iter([4.1, 3.4] * int(_ORACLE_RUN_S))
+    sim.every(
+        params["command_period_s"],
+        lambda: link.set_frequency(next(boost)),
+        name="oracle:set-frequency",
+    )
+    for time_s, verb, index, value in schedule:
+        host = _ORACLE_HOSTS[index]
+        sim.at(time_s, lambda v=verb, h=host, x=value: _oracle_act(link, v, h, x))
+    sim.run(until=_ORACLE_RUN_S)
+    agents = [link.agent(host) for host in _ORACLE_HOSTS]
+    observed = (
+        dataclasses.asdict(link.counters),
+        [agent.frequency_ghz for agent in agents],
+        acks,
+        log,
+        timeline.signature(),
+        len(timeline),
+    )
+    return observed, [agent.cached_acks for agent in agents]
+
+
+_oracle_params = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32),
+        # Zero delays often, so a copy can land right at the horizon,
+        # which is where a too-short horizon shows.
+        "channel": st.builds(
+            lambda drop, dup, low, spread: ChannelConfig(drop, dup, low, low + spread),
+            st.floats(0.0, 0.5),
+            st.floats(0.0, 0.8),
+            st.just(0.0) | st.floats(0.0, 2.0),
+            st.floats(0.0, 6.0),
+        ),
+        "policy": st.builds(
+            RetryPolicy,
+            max_attempts=st.integers(1, 4),
+            base_delay_s=st.just(0.0) | st.floats(0.0, 1.5),
+            backoff_factor=st.floats(1.0, 2.5),
+            jitter_fraction=st.just(0.0) | st.floats(0.0, 0.9),
+        ),
+        "ack_timeout_s": st.floats(0.05, 2.0),
+        "lease_misses": st.integers(1, 5),
+        "reconcile_interval_s": st.sampled_from([None, 5.0, 15.0]),
+        # A breaker that rarely opens lets lost acks turn into retries.
+        "breaker_threshold": st.just(10**6) | st.integers(1, 5),
+        "breaker_open_s": st.floats(1.0, 30.0),
+        "heartbeat_period_s": st.floats(0.5, 3.0),
+        "command_period_s": st.floats(1.0, 10.0),
+    }
+)
+
+_oracle_schedule = st.lists(
+    st.tuples(
+        st.floats(0.0, _ORACLE_RUN_S - 1.0),
+        st.sampled_from(_ORACLE_SENDS) | st.sampled_from(_ORACLE_FAULTS),
+        st.integers(0, len(_ORACLE_HOSTS) - 1),
+        st.floats(0.0, 1.0),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=_oracle_params, schedule=_oracle_schedule)
+def test_dedup_expiry_matches_an_agent_that_never_forgets(params, schedule):
+    """Forgetting acks past the horizon changes nothing observable.
+
+    Two links share a seed, a configuration and a schedule of sends,
+    channel faults, partitions and heals; one link's agents never
+    forget an ack. Counters (dedup hits included), frequencies, the
+    acks the bus accepts, every actuator call and the timeline must
+    match exactly, while the expiring agents hold no more acks.
+    """
+    expiring, expiring_sizes = _oracle_run(HostAgent, params, schedule)
+    reference, reference_sizes = _oracle_run(_RememberEveryAck, params, schedule)
+    assert expiring == reference
+    assert all(mine <= theirs for mine, theirs in zip(expiring_sizes, reference_sizes))

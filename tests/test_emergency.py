@@ -64,6 +64,25 @@ def test_ladder_margins_must_strictly_decrease():
         LadderConfig().margin_for(EmergencyStage.NORMAL)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "revoke_margin_c",
+        "cap_margin_c",
+        "evacuate_margin_c",
+        "shutdown_margin_c",
+        "hysteresis_c",
+        "relax_clean_ticks",
+    ],
+)
+def test_ladder_config_rejects_non_finite_settings(field, bad):
+    # Construction only: a NaN margin passes the ordering comparison and
+    # leaves a rung that never engages.
+    with pytest.raises(ConfigurationError):
+        LadderConfig(**{field: bad})
+
+
 def test_worst_margin_is_the_hottest_hosts_headroom():
     assert worst_margin_c({}, 110.0) == float("inf")
     assert worst_margin_c({"a": 100.0, "b": 90.0}, 110.0) == pytest.approx(10.0)

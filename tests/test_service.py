@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.journal import RunJournal
 from repro.errors import ConfigurationError, JournalError
 from repro.service import (
     AdmissionController,
@@ -20,8 +23,26 @@ from repro.service import (
 )
 from repro.service.admission import ClassPolicy
 from repro.service.brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
+from repro.service.checkpoint import service_wal_path
 from repro.sim.random import RandomStreams
 from repro.workloads.diurnal import ArrivalProcess, DiurnalTrace
+
+
+#: Operator ops carrying a NaN or infinite number (and one negative cap,
+#: which used to be stored before it was rejected). Each must be
+#: rejected before it changes any state.
+HOSTILE_OPS = {
+    "cap-nan": {"op": "power-cap", "watts": math.nan},
+    "cap-inf": {"op": "power-cap", "watts": math.inf},
+    "cap-negative": {"op": "power-cap", "watts": -5.0},
+    "surge-factor-nan": {"op": "demand-surge", "factor": math.nan, "duration_s": 10.0},
+    "surge-factor-inf": {"op": "demand-surge", "factor": math.inf, "duration_s": 10.0},
+    "surge-duration-nan": {"op": "demand-surge", "factor": 2.0, "duration_s": math.nan},
+    "surge-duration-inf": {"op": "demand-surge", "factor": 2.0, "duration_s": math.inf},
+    "excursion-derate-nan": {"op": "thermal-excursion", "derate": math.nan, "duration_s": 10.0},
+    "excursion-duration-nan": {"op": "thermal-excursion", "derate": 0.5, "duration_s": math.nan},
+    "excursion-duration-inf": {"op": "thermal-excursion", "derate": 0.5, "duration_s": math.inf},
+}
 
 
 #: Hypothesis phases for the model tests below. The explain phase runs
@@ -338,6 +359,11 @@ class TestDelayController:
         assert controller.delay_signal_s >= 0.2
         assert controller.overloaded
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            QueueDelayController(target_s=bad)
+
     def test_head_age_unmasks_starved_class(self):
         controller = QueueDelayController(target_s=0.05, window_ticks=2)
         # Fresh critical work dispatches instantly, but a batch request
@@ -348,6 +374,27 @@ class TestDelayController:
 
 
 class TestBrownoutLadder:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "slo_s",
+            "shed_headroom_s",
+            "revoke_headroom_s",
+            "degraded_headroom_s",
+            "reject_headroom_s",
+            "hysteresis_s",
+            "relax_clean_ticks",
+        ],
+    )
+    def test_config_rejects_non_finite_settings(self, field, bad):
+        # Construction only: a NaN threshold passes every ordering check
+        # and hands the ladder a rung that never engages.
+        with pytest.raises(ConfigurationError):
+            BrownoutConfig(**{field: bad})
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(brownout=BrownoutConfig(**{field: bad}))
+
     def test_walks_rungs_in_order_under_shrinking_headroom(self):
         ladder = BrownoutLadder(config=BrownoutConfig())
         stages = []
@@ -459,6 +506,19 @@ class TestServiceCore:
         with pytest.raises(ConfigurationError):
             core.apply_op({"op": "reboot-the-universe"})
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE_OPS))
+    def test_hostile_op_rejected_without_effect(self, name):
+        core = ServiceCore(seed=3)
+        untouched = ServiceCore(seed=3)
+        core.run_ticks(5)
+        untouched.run_ticks(5)
+        with pytest.raises(ConfigurationError):
+            core.apply_op(dict(HOSTILE_OPS[name]))
+        core.run_ticks(20)
+        untouched.run_ticks(20)
+        assert core.signature == untouched.signature
+        assert core.timeline.signature() == untouched.timeline.signature()
+
     def test_snapshot_is_json_safe_and_complete(self):
         import json
 
@@ -567,6 +627,22 @@ class TestServiceSession:
         with ServiceSession(tmp_path, "run", seed=1) as fresh:
             assert fresh.resumed
             assert fresh.replayed_ticks == 1
+
+    @pytest.mark.parametrize("name", ["cap-nan", "surge-duration-inf"])
+    def test_rejected_op_is_never_journaled(self, tmp_path, name):
+        with ServiceSession(tmp_path, "run", seed=3) as session:
+            for _ in range(5):
+                session.tick()
+            with pytest.raises(ConfigurationError):
+                session.apply_op(dict(HOSTILE_OPS[name]))
+            session.tick()
+        journal = RunJournal(service_wal_path(tmp_path, "run"), "run")
+        try:
+            records = journal.open()
+        finally:
+            journal.close()
+        assert "meta" in records
+        assert not any(key.startswith("op:") for key in records)
 
     def test_op_journaled_before_ack_is_replayed(self, tmp_path):
         with ServiceSession(tmp_path, "run", seed=5) as session:

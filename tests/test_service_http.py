@@ -161,6 +161,26 @@ class TestEndpoints:
 
         asyncio.run(scenario())
 
+    def test_non_finite_op_answers_400(self, tmp_path):
+        # json.loads accepts NaN and Infinity, so the core must refuse them.
+        async def scenario():
+            server = await _start_server(tmp_path)
+            try:
+                host, port = server.host, server.bound_port
+                await _wait_ready(server)
+                for body in (
+                    {"op": "power-cap", "watts": float("nan")},
+                    {"op": "demand-surge", "factor": 2.0, "duration_s": float("inf")},
+                ):
+                    status, payload, _ = await _request(host, port, "POST", "/ops", body=body)
+                    assert status == 400
+                    assert "finite" in payload["error"]
+                assert server.core.timeline.of_kind("op-power-cap") == ()
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
     def test_stream_delivers_per_tick_events(self, tmp_path):
         async def scenario():
             server = await _start_server(tmp_path)

@@ -174,6 +174,24 @@ class TestCoreCounters:
         with pytest.raises(WorkloadError):
             vm.set_frequency(0.0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"service_mean_s": math.nan},
+            {"service_mean_s": math.inf},
+            {"service_mean_s": 0.0},
+            {"service_cv": math.nan},
+            {"service_cv": math.inf},
+            {"service_cv": -0.1},
+        ],
+        ids=repr,
+    )
+    def test_service_time_settings_must_be_finite(self, setting):
+        # Construction only: a NaN mean completes every request at once,
+        # and the auto-scaler builds VMs without a ServiceConfig.
+        with pytest.raises(ConfigurationError):
+            ServerVM(Simulator(), "vm", **setting)
+
     @given(
         st.floats(min_value=0.01, max_value=100),
         st.floats(min_value=0.5, max_value=5.0),
