@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check paper-check clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check paper-check example-autoscaling clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -144,6 +144,13 @@ paper-check:
 	if [ -n "$$untracked" ]; then \
 		echo "untracked files in benchmarks/results:"; echo "$$untracked"; exit 1; \
 	fi
+
+# The Fig. 16 auto-scaler demo (~23 s), the one example tier-1 does not
+# run (tests/test_examples.py runs the other five). It prints each
+# mode's P95 and mean latency from LatencyRecorder; fails on a non-zero
+# exit.
+example-autoscaling:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/autoscaling_demo.py
 
 # Perf microbenchmarks that finish in well under 30 s: the sweep
 # engine on a tiny grid (serial == parallel == cached output) and the

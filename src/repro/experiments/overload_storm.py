@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from ..faults.timeline import FaultEvent
 from ..service.core import ServiceConfig, ServiceCore
-from ..telemetry.percentiles import percentile
 from .tables import key_event_lines, render_table
 
 #: Ticks served before the storm (warm, diurnally breathing fleet).
@@ -160,7 +159,6 @@ def run_storm_mode(
     if worst_rate == float("inf"):
         worst_rate = 0.0
 
-    storm_latencies = core.latency.samples[window_start_samples:storm_samples_end]
     snapshot = core.snapshot()
     counters = core.counters
     in_system = core.queue_depth + core.in_flight
@@ -190,7 +188,9 @@ def run_storm_mode(
         storm_goodput=storm_goodput,
         worst_window_goodput_rps=worst_rate,
         storm_p99_s=(
-            percentile(storm_latencies, 99.0) if storm_latencies else None
+            core.latency.percentile(99.0, window_start_samples, storm_samples_end)
+            if storm_samples_end > window_start_samples
+            else None
         ),
         overall_p99_s=(core.latency.p99() if len(core.latency) else None),
         queue_max_depth=snapshot["queue_max_depth"],

@@ -76,6 +76,21 @@ OP_KINDS = (
     "rollout",
 )
 
+#: The largest ``demand-surge`` factor an operator may apply. Arrivals
+#: scale with the factor, so a huge one makes a single tick schedule
+#: without bound; the storm experiment and the benchmark surge 2.6× and
+#: 3.0×.
+MAX_SURGE_FACTOR = 10.0
+
+
+def _flag(op: Mapping[str, object], key: str) -> bool:
+    """``op[key]``, which must be a JSON boolean: ``bool("false")`` is
+    true, so a string or number would flip the flag the wrong way."""
+    value = op[key]
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -440,20 +455,21 @@ class ServiceCore:
         the upcoming tick index, so replay re-applies them at exactly
         the same boundary. Returns a short deterministic description
         (also recorded in the fault timeline, and therefore part of the
-        run signature). Every number is checked before any state
-        changes, each check written so that NaN fails it, so a rejected
-        op leaves the core exactly as it was.
+        run signature). Every number and flag is checked before any
+        state changes, each check written so that NaN fails it, so a
+        rejected op leaves the core exactly as it was.
         """
         kind = op.get("op")
         now = self._sim.now
         if kind == "demand-surge":
             factor = float(op["factor"])  # type: ignore[arg-type]
             duration = float(op["duration_s"])  # type: ignore[arg-type]
-            # A NaN factor starves the arrivals; a NaN or infinite
-            # duration never ends the surge.
-            if not (0.0 < factor < math.inf and 0.0 < duration < math.inf):
+            # A NaN factor starves the arrivals and a huge one floods a
+            # tick; a NaN or infinite duration never ends the surge.
+            if not (0.0 < factor <= MAX_SURGE_FACTOR and 0.0 < duration < math.inf):
                 raise ConfigurationError(
-                    "surge factor and duration must be positive and finite"
+                    f"surge factor must be within (0, {MAX_SURGE_FACTOR:g}] and "
+                    "duration positive and finite"
                 )
             self._surge_factor_value = factor
             self._surge_until_s = now + duration
@@ -484,7 +500,7 @@ class ServiceCore:
             self.timeline.record(now, "op-power-cap", "fleet", detail)
             return detail
         if kind == "overclock":
-            enable = bool(op["enable"])  # type: ignore[index]
+            enable = _flag(op, "enable")
             self._boost_enabled = enable
             detail = "enabled" if enable else "disabled"
             self.timeline.record(now, "op-overclock", "fleet", detail)
@@ -505,7 +521,7 @@ class ServiceCore:
             # mirrors it via hold()/release(), so a held rollout freezes
             # (visible in RolloutCounters) without touching the tick
             # signature chain of runs that never use the op.
-            hold = bool(op["hold"])  # type: ignore[index]
+            hold = _flag(op, "hold")
             self._rollout_hold = hold
             detail = "held" if hold else "released"
             self.timeline.record(now, "op-rollout", "fleet", detail)

@@ -56,8 +56,8 @@ class LogHistogram:
     # ------------------------------------------------------------------
     def record(self, value: float) -> None:
         """Record one observation."""
-        if value < 0:
-            raise ConfigurationError("histogram values must be non-negative")
+        if not value >= 0:
+            raise ConfigurationError(f"histogram values must be non-negative, got {value}")
         value = max(value, self.min_value)
         self._buckets[self._index_of(value)] += 1
         self._count += 1

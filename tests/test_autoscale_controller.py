@@ -3,6 +3,7 @@
 import pytest
 
 from repro.autoscale import AutoScaler, AutoscalePolicy, ScalerMode
+from repro.errors import ConfigurationError
 from repro.sim import OpenLoopSource, PiecewiseSchedule, Simulator
 
 
@@ -31,6 +32,16 @@ def run_controller(
     simulator.every(5.0, lambda: source.set_rate(schedule.value_at(simulator.now)))
     simulator.run(until=horizon_s)
     return autoscaler, autoscaler.finish()
+
+
+@pytest.fixture(scope="module")
+def steady_600_qps():
+    """BASELINE and OC-A results of one 600 s, 600 QPS run each with no
+    scale-out; two tests read them and neither changes them."""
+    return tuple(
+        run_controller(mode, [(0.0, 600.0)], horizon_s=600.0, enable_scale_out=False)[1]
+        for mode in (ScalerMode.BASELINE, ScalerMode.OC_A)
+    )
 
 
 class TestScaleOutIn:
@@ -134,29 +145,15 @@ class TestFrequencyControl:
         )
         assert result.frequency_trace.latest().value == pytest.approx(3.4)
 
-    def test_oc_a_reduces_utilization_vs_baseline(self):
+    def test_oc_a_reduces_utilization_vs_baseline(self, steady_600_qps):
         """The Figure 15 effect: scale-up pulls utilization down."""
-        _, base = run_controller(
-            ScalerMode.BASELINE, [(0.0, 600.0)], horizon_s=600.0,
-            enable_scale_out=False,
-        )
-        _, oc = run_controller(
-            ScalerMode.OC_A, [(0.0, 600.0)], horizon_s=600.0,
-            enable_scale_out=False,
-        )
+        base, oc = steady_600_qps
         base_util = base.utilization_trace.window_mean(600.0, 300.0)
         oc_util = oc.utilization_trace.window_mean(600.0, 300.0)
         assert oc_util < base_util
 
-    def test_power_rises_with_overclock(self):
-        _, base = run_controller(
-            ScalerMode.BASELINE, [(0.0, 600.0)], horizon_s=600.0,
-            enable_scale_out=False,
-        )
-        _, oc = run_controller(
-            ScalerMode.OC_A, [(0.0, 600.0)], horizon_s=600.0,
-            enable_scale_out=False,
-        )
+    def test_power_rises_with_overclock(self, steady_600_qps):
+        base, oc = steady_600_qps
         assert oc.power.average_watts() > base.power.average_watts()
 
 
@@ -167,6 +164,11 @@ class TestResultAccounting:
         )
         # Low load: likely scale-in to 1 at some point; vm_hours <= 2.0 and >= 1.0
         assert 0.9 <= result.vm_hours() <= 2.1
+
+    @pytest.mark.parametrize("warmup_s", [float("nan"), float("inf"), -5.0])
+    def test_warmup_must_be_finite_and_non_negative(self, warmup_s):
+        with pytest.raises(ConfigurationError):
+            AutoScaler(Simulator(seed=1), AutoscalePolicy(mode=ScalerMode.BASELINE), warmup_s=warmup_s)
 
     def test_latency_recorded(self):
         _, result = run_controller(ScalerMode.BASELINE, [(0.0, 300.0)], horizon_s=300.0)

@@ -64,6 +64,12 @@ class TestLogHistogram:
         with pytest.raises(ConfigurationError):
             LogHistogram().quantile(0.5)  # empty
 
+    def test_nan_rejected_as_configuration_error(self):
+        histogram = LogHistogram()
+        with pytest.raises(ConfigurationError):
+            histogram.record(float("nan"))
+        assert histogram.count == 0
+
     @given(st.lists(st.floats(min_value=1e-5, max_value=100.0), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_quantile_monotone(self, values):

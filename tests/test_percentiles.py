@@ -10,16 +10,21 @@ unspecified.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.telemetry import LatencyRecorder, percentile
+from repro.telemetry import percentiles as percentiles_module
 
 #: Samples per pass of the percentile routine: sizes are drawn around
 #: its multiples so that arrays start, end and tie across chunk edges.
-CHUNK = 1 << 15
+CHUNK = percentiles_module._CHUNK
 
 #: What ``LatencyRecorder`` may hold: finite and non-negative.
 RECORDABLE = ("spread", "ties", "equal", "zeros", "ulps")
@@ -70,7 +75,7 @@ def _assert_same(got: float, want, data: np.ndarray) -> None:
 
 def _storm_window_p99(recorder: LatencyRecorder, start: int, stop: int) -> float:
     """The storm's p99 over the samples recorded inside its window."""
-    return percentile(recorder.samples[start:stop], 99.0)
+    return recorder.percentile(99.0, start, stop)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,3 +144,62 @@ def test_percentile_of_nan_is_nan():
         assert math.isnan(np.percentile(data, 50.0))
         assert math.isnan(percentile(data, 50.0))
         assert math.isnan(percentile(data, 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(GENERAL),
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from((1, 3, 64)),
+    q=st.one_of(st.sampled_from(QS), st.floats(0.0, 100.0)),
+)
+def test_small_chunks_reach_every_narrowing_level(kind, n, seed, chunk, q):
+    """With chunks of a few samples a bucket rarely fits one, so ranks
+    are narrowed down to the last digit and single-value buckets."""
+    data = _samples(kind, n, seed)
+    with np.errstate(invalid="ignore"):
+        want = np.percentile(data, q), np.percentile(data, (50.0, 95.0, 99.0))
+    with mock.patch.object(percentiles_module, "_CHUNK", chunk):
+        got = percentile(data, q), percentiles_module._percentiles(data, (50.0, 95.0, 99.0))
+    _assert_same(got[0], want[0], data)
+    for value, expected in zip(got[1], want[1]):
+        _assert_same(value, expected, data)
+
+
+def _filled(values) -> LatencyRecorder:
+    recorder = LatencyRecorder("memory")
+    recorder.extend(values)
+    return recorder
+
+
+@pytest.mark.parametrize("kind", ["spread", "equal"])
+def test_statistics_of_a_million_samples_stay_under_2_mb(kind):
+    """The buffer is 8 MB; a copy of it alone would be 8 MB."""
+    recorder = _filled(_samples(kind, 1_000_000, seed=5))
+    tracemalloc.start()
+    try:
+        for statistic in (recorder.p95, recorder.summary):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            statistic()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - before < 2e6, statistic.__name__
+    finally:
+        tracemalloc.stop()
+    # Fails with BufferError if a statistic left a view of the buffer alive.
+    recorder.record(1.0, 1.0)
+
+
+def test_window_percentile_reads_the_slice_and_leaves_no_view():
+    recorder = _filled(np.arange(3 * CHUNK, dtype=float))
+    assert recorder.percentile(99.0, 10, 2 * CHUNK + 5) == np.percentile(
+        np.arange(10, 2 * CHUNK + 5, dtype=float), 99.0
+    )
+    assert recorder.percentile(50.0, -4) == 3 * CHUNK - 2.5
+    with pytest.raises(ConfigurationError, match="no latency samples"):
+        recorder.percentile(99.0, 5, 5)
+    with pytest.raises(ConfigurationError):
+        recorder.percentile(101.0)
+    recorder.record(1.0, 1.0)
+    assert len(recorder) == 3 * CHUNK + 1

@@ -24,6 +24,7 @@ from repro.service import (
 from repro.service.admission import ClassPolicy
 from repro.service.brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
 from repro.service.checkpoint import service_wal_path
+from repro.service.core import MAX_SURGE_FACTOR
 from repro.sim.random import RandomStreams
 from repro.workloads.diurnal import ArrivalProcess, DiurnalTrace
 
@@ -42,6 +43,15 @@ HOSTILE_OPS = {
     "excursion-derate-nan": {"op": "thermal-excursion", "derate": math.nan, "duration_s": 10.0},
     "excursion-duration-nan": {"op": "thermal-excursion", "derate": 0.5, "duration_s": math.nan},
     "excursion-duration-inf": {"op": "thermal-excursion", "derate": 0.5, "duration_s": math.inf},
+    # Finite but past MAX_SURGE_FACTOR: 1e300 never finished its next tick.
+    "surge-factor-huge": {"op": "demand-surge", "factor": 1e300, "duration_s": 10.0},
+    "surge-factor-10.5": {"op": "demand-surge", "factor": 10.5, "duration_s": 10.0},
+    # Flags must be JSON booleans: bool("false") is True.
+    **{
+        f"{op}-{key}-{value!r}": {"op": op, key: value}
+        for op, key in (("overclock", "enable"), ("rollout", "hold"))
+        for value in ("false", "true", 0, 1, None)
+    },
 }
 
 
@@ -485,6 +495,16 @@ class TestServiceCore:
         core.tick()
         assert core.boost_active
 
+    def test_largest_surge_factor_is_accepted_and_ticks(self):
+        core = ServiceCore(seed=3)
+        core.run_ticks(5)
+        assert core.apply_op(
+            {"op": "demand-surge", "factor": MAX_SURGE_FACTOR, "duration_s": 10.0}
+        ) == "factor=10.00 duration=10.0s"
+        offered = core.counters.offered
+        core.tick()
+        assert core.counters.offered > offered
+
     def test_overclock_op_toggles_boost(self):
         core = ServiceCore(seed=1)
         core.run_ticks(2)
@@ -628,7 +648,17 @@ class TestServiceSession:
             assert fresh.resumed
             assert fresh.replayed_ticks == 1
 
-    @pytest.mark.parametrize("name", ["cap-nan", "surge-duration-inf"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cap-nan",
+            "surge-duration-inf",
+            "surge-factor-huge",
+            "surge-factor-10.5",
+            "overclock-enable-'false'",
+            "rollout-hold-0",
+        ],
+    )
     def test_rejected_op_is_never_journaled(self, tmp_path, name):
         with ServiceSession(tmp_path, "run", seed=3) as session:
             for _ in range(5):

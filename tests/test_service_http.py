@@ -181,6 +181,26 @@ class TestEndpoints:
 
         asyncio.run(scenario())
 
+    def test_non_boolean_flag_and_huge_surge_answer_400(self, tmp_path):
+        async def scenario():
+            server = await _start_server(tmp_path)
+            try:
+                host, port = server.host, server.bound_port
+                await _wait_ready(server)
+                for body in (
+                    {"op": "overclock", "enable": "false"},
+                    {"op": "rollout", "hold": 0},
+                    {"op": "demand-surge", "factor": 1e300, "duration_s": 10.0},
+                ):
+                    status, _, _ = await _request(host, port, "POST", "/ops", body=body)
+                    assert status == 400
+                for kind in ("op-overclock", "op-rollout", "op-demand-surge"):
+                    assert server.core.timeline.of_kind(kind) == ()
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+
     def test_stream_delivers_per_tick_events(self, tmp_path):
         async def scenario():
             server = await _start_server(tmp_path)

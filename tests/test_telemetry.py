@@ -341,6 +341,20 @@ class TestLatencyRecorder:
         assert recorder.samples == (1.0,)
         assert recorder.summary()["p99"] == 1.0
 
+    @pytest.mark.parametrize("latency", [math.inf, -math.inf])
+    def test_infinite_latency_rejected(self, latency):
+        recorder = LatencyRecorder()
+        recorder.record(1.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            recorder.record(1.0, latency)
+        assert recorder.samples == (1.0,)
+        assert recorder.p50() == 1.0
+
+    @pytest.mark.parametrize("warmup", [math.nan, math.inf, -1.0])
+    def test_warmup_must_be_finite_and_non_negative(self, warmup):
+        with pytest.raises(ConfigurationError):
+            LatencyRecorder(drop_warmup_before=warmup)
+
     @given(
         st.lists(
             st.one_of(
