@@ -84,8 +84,8 @@ MAX_SURGE_FACTOR = 10.0
 
 
 def _flag(op: Mapping[str, object], key: str) -> bool:
-    """``op[key]``, which must be a JSON boolean: ``bool("false")`` is
-    true, so a string or number would flip the flag the wrong way."""
+    """``op[key]``, which must be a JSON boolean: anything else would be
+    read by its truth value, and ``bool("false")`` is true."""
     value = op[key]
     if not isinstance(value, bool):
         raise ConfigurationError(f"{key!r} must be true or false, got {value!r}")

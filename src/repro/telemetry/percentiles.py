@@ -101,15 +101,15 @@ class _Bucket:
         # Summed in place: the root's histogram alone is 512 KB.
         upto = np.cumsum(self.counts, out=self.counts)
         self.counts = None
-        children: dict[int, tuple[int, int, dict[int, int]]] = {}
+        children: dict[int, tuple[int, dict[int, int]]] = {}
         for rank, within in self.ranks.items():
             digit = int(np.searchsorted(upto, within, side="right"))
             start = int(upto[digit - 1]) if digit else 0
-            child = children.setdefault(digit, (start, int(upto[digit]) - start, {}))
-            child[2][rank] = within - start
+            _, ranks = children.setdefault(digit, (int(upto[digit]) - start, {}))
+            ranks[rank] = within - start
         return [
             _Bucket((self.prefix << width) | digit, self.digit_shift, ranks, count)
-            for digit, (_, count, ranks) in children.items()
+            for digit, (count, ranks) in children.items()
         ]
 
 
