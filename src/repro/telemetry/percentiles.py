@@ -113,7 +113,9 @@ class _Bucket:
         ]
 
 
-def _count(data: np.ndarray, buckets: list[_Bucket], keys_out: np.ndarray, work: np.ndarray) -> None:
+def _count(
+    data: np.ndarray, buckets: list[_Bucket], keys_out: np.ndarray, work: np.ndarray
+) -> None:
     """One pass: each bucket's lowest and highest key and a histogram of
     its next digit."""
     for bucket in buckets:
@@ -137,7 +139,9 @@ def _count(data: np.ndarray, buckets: list[_Bucket], keys_out: np.ndarray, work:
             bucket.counts[offset : offset + tally.size] += tally
 
 
-def _gather(data: np.ndarray, buckets: list[_Bucket], keys_out: np.ndarray, work: np.ndarray) -> None:
+def _gather(
+    data: np.ndarray, buckets: list[_Bucket], keys_out: np.ndarray, work: np.ndarray
+) -> None:
     """One pass copying out each bucket's samples (at most a chunk each)."""
     filled = []
     for bucket in buckets:

@@ -168,7 +168,9 @@ class TestResultAccounting:
     @pytest.mark.parametrize("warmup_s", [float("nan"), float("inf"), -5.0])
     def test_warmup_must_be_finite_and_non_negative(self, warmup_s):
         with pytest.raises(ConfigurationError):
-            AutoScaler(Simulator(seed=1), AutoscalePolicy(mode=ScalerMode.BASELINE), warmup_s=warmup_s)
+            AutoScaler(
+                Simulator(seed=1), AutoscalePolicy(mode=ScalerMode.BASELINE), warmup_s=warmup_s
+            )
 
     def test_latency_recorded(self):
         _, result = run_controller(ScalerMode.BASELINE, [(0.0, 300.0)], horizon_s=300.0)
