@@ -58,6 +58,15 @@ class PowerCapGovernor:
         self.bin_ghz = bin_ghz
         self.min_core_ghz = min_core_ghz
 
+    def floor_watts(self, host: Host, config: FrequencyConfig) -> float:
+        """What ``host`` draws under ``config`` lowered to the frequency
+        floor with every committed vcore busy: the lowest cap
+        :meth:`enforce` can meet from ``config`` at utilization 1.0."""
+        return host.power_model.watts(
+            _downbinned(config, self.min_core_ghz),
+            min(float(host.spec.pcores), float(host.committed_vcores)),
+        )
+
     def enforce(
         self, host: Host, cap_watts: float, utilization: float = 1.0
     ) -> CapResult:

@@ -32,6 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..errors import ConfigurationError, ControlError
@@ -290,7 +291,7 @@ class HostAgent:
         reply = self.reply
         if reply is None:
             return
-        self.channel.deliver(self.host_id, lambda: reply(ack), describe=ack.describe)
+        self.channel.deliver(self.host_id, partial(reply, ack), describe=ack.describe)
 
     # ------------------------------------------------------------------
     # Dead-man lease
@@ -493,11 +494,13 @@ class CommandBus:
         agent = pending.agent
         # The channel names a message only when it loses it.
         self.channel.deliver(
-            command.target, lambda: agent.receive(command), describe=command.describe
+            command.target, partial(agent.receive, command), describe=command.describe
         )
+        # A retry is scheduled only once this watchdog has fired, so the
+        # attempt it carries is still current when it fires.
         pending.timeout_event = self._sim.after(
             self.ack_timeout_s,
-            lambda: self._on_timeout(key, pending.attempt),
+            partial(self._on_timeout, key, pending.attempt),
             name=self._timeout_name,
         )
 
@@ -518,7 +521,9 @@ class CommandBus:
             delay = self.retry_policy.jittered_backoff_s(
                 pending.attempt, seed=self.seed, key=key
             )
-            self._sim.after(delay, lambda: self._attempt(key), name=f"{self.name}:retry:{key}")
+            self._sim.after(
+                delay, partial(self._attempt, key), name=f"{self.name}:retry:{key}"
+            )
             return
         del self._pending[key]
         self.counters.failures += 1

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import ConfigurationError
@@ -39,6 +40,11 @@ CMD_LOST = "cmd-lost"
 def _unnamed() -> str:
     """The name of a message sent without one."""
     return ""
+
+
+def _duplicate_of(describe: Callable[[], str]) -> str:
+    """The name of a duplicated message."""
+    return f"dup {describe()}"
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ class LossyChannel:
         dup_p = self._dup_override.get(target, self.config.duplicate_probability)
         if dup_p > 0.0 and self._streams.uniform(f"dup:{target}", 0.0, 1.0) < dup_p:
             self.duplicated += 1
-            self._schedule(target, action, lambda: f"dup {describe()}")
+            self._schedule(target, action, partial(_duplicate_of, describe))
         return True
 
     def _schedule(
@@ -195,15 +201,7 @@ class LossyChannel:
         delay = base + self._extra_delay.get(target, 0.0)
         if delay > self.longest_delay_s:
             self.longest_delay_s = delay
-
-        def arrive() -> None:
-            # In-flight messages die with the link, like real packets.
-            if self._partition_until and self.is_partitioned(target):
-                self._record_loss(target, "in-flight", describe)
-                return
-            self.delivered += 1
-            action()
-
+        arrive = partial(self._arrive, target, action, describe)
         name = self._event_names.get(target)
         if name is None:
             name = self._event_names[target] = f"{self.name}:{target}"
@@ -211,6 +209,16 @@ class LossyChannel:
             self._sim.after(0.0, arrive, name=name)
         else:
             self._sim.after(delay, arrive, name=name)
+
+    def _arrive(
+        self, target: str, action: Callable[[], None], describe: Callable[[], str]
+    ) -> None:
+        # In-flight messages die with the link, like real packets.
+        if self._partition_until and self.is_partitioned(target):
+            self._record_loss(target, "in-flight", describe)
+            return
+        self.delivered += 1
+        action()
 
     def _record_loss(self, target: str, how: str, describe: Callable[[], str]) -> None:
         self.dropped += 1

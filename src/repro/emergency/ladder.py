@@ -159,6 +159,14 @@ def worst_margin_c(tj_by_host: Mapping[str, float], tjmax_c: float) -> float:
     return min(tjmax_c - tj for tj in tj_by_host.values())
 
 
+def _format_margin(margin: float) -> str:
+    return f"margin={margin:.3g}"
+
+
+def _format_margin_c(margin: float) -> str:
+    return f"margin={margin:.1f}C"
+
+
 class StagedLadder:
     """Hysteretic staged-degradation machine over one scalar margin.
 
@@ -213,9 +221,7 @@ class StagedLadder:
         self.timeline = timeline
         self.escalate_kind = escalate_kind
         self.relax_kind = relax_kind
-        self.margin_format = (
-            margin_format if margin_format is not None else lambda m: f"margin={m:.3g}"
-        )
+        self.margin_format = margin_format if margin_format is not None else _format_margin
         self.stage = stages(0)
         self._normal = stages(0)
         self._deepest = members[-1]
@@ -354,7 +360,7 @@ class EmergencyCoordinator(StagedLadder):
             timeline=timeline,
             escalate_kind=EMERGENCY_ESCALATE,
             relax_kind=EMERGENCY_RELAX,
-            margin_format=lambda margin: f"margin={margin:.1f}C",
+            margin_format=_format_margin_c,
         )
         self.safety = safety
         self.counters = counters if counters is not None else EmergencyCounters()

@@ -39,6 +39,9 @@ from ..errors import JournalError
 #: Chain seed for the first record of every journal.
 GENESIS = "genesis"
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_COMPACT_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _package_version() -> str:
     import repro
@@ -193,18 +196,17 @@ class RunJournal:
         """Durably append one completed sweep point."""
         if self._handle is None:
             raise JournalError(f"journal {self.path} is not open")
-        body = json.dumps(
-            {
-                "key": content_key,
-                "task": task_key,
-                "pickle": pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL).hex(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        # The text json.dumps gives these two dicts with sorted keys (the
+        # body's without spaces), built directly: the live service writes
+        # one record per tick, and hex digits need no escaping.
+        body = (
+            f'{{"key":{_COMPACT_JSON.encode(content_key)},'
+            f'"pickle":"{pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL).hex()}",'
+            f'"task":{_COMPACT_JSON.encode(task_key)}}}'
         )
         digest = _chain_digest(self._chain, "result", body)
-        record = {"type": "result", "body": body, "sha256": digest}
-        self._handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+        line = f'{{"body": {json.dumps(body)}, "sha256": "{digest}", "type": "result"}}\n'
+        self._handle.write(line.encode())
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._chain = digest

@@ -107,6 +107,8 @@ class BoundedDeadlineQueue:
 
     def expire(self, now_s: float) -> int:
         """Drop every queued request whose deadline has passed."""
+        if not self.depth:
+            return 0
         dropped = 0
         for queue in self._queues.values():
             kept = deque(r for r in queue if r.deadline_s > now_s)

@@ -83,6 +83,18 @@ OP_KINDS = (
 MAX_SURGE_FACTOR = 10.0
 
 
+def _number(op: Mapping[str, object], key: str) -> float:
+    """``op[key]``, which must be a JSON number: ``float()`` would also
+    read ``true`` as 1.0 and the string ``"10"`` as 10.0."""
+    value = op[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ConfigurationError(f"{key!r} must be finite") from None
+
+
 def _flag(op: Mapping[str, object], key: str) -> bool:
     """``op[key]``, which must be a JSON boolean: anything else would be
     read by its truth value, and ``bool("false")`` is true."""
@@ -320,8 +332,9 @@ class ServiceCore:
             klass: partial(self._on_done, deadline_s)
             for klass, deadline_s in self._class_deadline_s.items()
         }
+        on_arrival = self._on_arrival if mode == "naive" else self._on_admitted
         self._class_shares = tuple(
-            (klass, cfg.class_mix[int(klass)], partial(self._on_arrival, klass))
+            (klass, cfg.class_mix[int(klass)], partial(on_arrival, klass))
             for klass in sorted(PriorityClass)
             if cfg.class_mix[int(klass)] > 0
         )
@@ -348,6 +361,15 @@ class ServiceCore:
         self.safety: SafetySupervisor | None = None
         self._link: ActuationLink | None = None
         self._governor = PowerCapGovernor()
+        # The lowest per-host cap the governor can always meet: what a
+        # host draws at the frequency floor with every committed vcore
+        # busy, which is how it enforces. A host holds one VM of the same
+        # size whatever happens to it, so no later tick draws more.
+        self._min_cap_watts = max(
+            self._governor.floor_watts(host, config)
+            for host in self._hosts
+            for config in (self._base, self._boost)
+        )
         if mode == "robust":
             self._admission = AdmissionController(policies)
             self._queue = BoundedDeadlineQueue(capacity=cfg.queue_capacity)
@@ -438,6 +460,11 @@ class ServiceCore:
         return self._rollout_hold
 
     @property
+    def min_power_cap_watts(self) -> float:
+        """The lowest ``power-cap`` op accepted (see :meth:`apply_op`)."""
+        return self._min_cap_watts
+
+    @property
     def queue_depth(self) -> int:
         return self._queue.depth if self._queue is not None else 0
 
@@ -455,15 +482,18 @@ class ServiceCore:
         the upcoming tick index, so replay re-applies them at exactly
         the same boundary. Returns a short deterministic description
         (also recorded in the fault timeline, and therefore part of the
-        run signature). Every number and flag is checked before any
-        state changes, each check written so that NaN fails it, so a
-        rejected op leaves the core exactly as it was.
+        run signature). Every number must be a JSON number and every flag
+        a JSON boolean, and a ``power-cap`` below
+        :attr:`min_power_cap_watts` is refused, since the governor could
+        never meet it. Each is checked before any state changes, each
+        check written so that NaN fails it, so a rejected op leaves the
+        core exactly as it was.
         """
         kind = op.get("op")
         now = self._sim.now
         if kind == "demand-surge":
-            factor = float(op["factor"])  # type: ignore[arg-type]
-            duration = float(op["duration_s"])  # type: ignore[arg-type]
+            factor = _number(op, "factor")
+            duration = _number(op, "duration_s")
             # A NaN factor starves the arrivals and a huge one floods a
             # tick; a NaN or infinite duration never ends the surge.
             if not (0.0 < factor <= MAX_SURGE_FACTOR and 0.0 < duration < math.inf):
@@ -477,8 +507,8 @@ class ServiceCore:
             self.timeline.record(now, "op-demand-surge", "service", detail)
             return detail
         if kind == "thermal-excursion":
-            derate = float(op["derate"])  # type: ignore[arg-type]
-            duration = float(op["duration_s"])  # type: ignore[arg-type]
+            derate = _number(op, "derate")
+            duration = _number(op, "duration_s")
             if not 0.0 <= derate <= 1.0:
                 raise ConfigurationError("derate must be within [0, 1]")
             if not 0.0 < duration < math.inf:
@@ -489,11 +519,12 @@ class ServiceCore:
             self.timeline.record(now, "thermal-excursion", "tank", detail)
             return detail
         if kind == "power-cap":
-            watts = op.get("watts")
-            cap = None if watts is None else float(watts)  # type: ignore[arg-type]
-            if cap is not None and not 0.0 < cap < math.inf:
+            cap = None if op.get("watts") is None else _number(op, "watts")
+            # A cap below the floor draw makes every later tick raise.
+            if cap is not None and not self._min_cap_watts <= cap < math.inf:
                 raise ConfigurationError(
-                    "power cap must be positive and finite (or null to clear)"
+                    f"power cap must be finite and at least {self._min_cap_watts:.1f} W, "
+                    "a host's draw at the capping frequency floor (or null to clear)"
                 )
             self._operator_cap_watts = cap
             detail = "cleared" if cap is None else f"cap={cap:.0f}W"
@@ -539,13 +570,27 @@ class ServiceCore:
         self._tick_delays = []
         self._expire_windows(start)
 
-        # Arrivals for this tick, scheduled as simulation events so
-        # admission and dispatch happen at true arrival times.
+        # Arrivals for this tick. Admission reads only its per-class
+        # token buckets and the priority floor, which changes only in
+        # the rung actions after the run below, so each drawn arrival is
+        # admitted at its arrival time here, class by class. Only the
+        # admitted ones become events, so queueing and dispatch happen
+        # at their true arrival times.
         rate = self._trace.rate_rps(start) * self._surge_factor_value
         at = self._sim.at
+        counters = self.counters
+        admission = self._admission
         for klass, share, on_arrival in self._class_shares:
-            for time_s in self._arrivals[klass].arrivals(start, cfg.tick_s, rate * share):
-                at(time_s, on_arrival, "arrival")
+            times = self._arrivals[klass].arrivals(start, cfg.tick_s, rate * share)
+            counters.offered += len(times)
+            if admission is None:
+                for time_s in times:
+                    at(time_s, on_arrival, "arrival")
+                continue
+            admit = admission.admit
+            for time_s in times:
+                if admit(time_s, klass) == "admitted":
+                    at(time_s, on_arrival, "arrival")
         self._sim.run(until=start + cfg.tick_s)
         now = self._sim.now
 
@@ -590,25 +635,24 @@ class ServiceCore:
     # Arrival → admission → backlog → dispatch
     # ------------------------------------------------------------------
     def _on_arrival(self, klass: PriorityClass) -> None:
+        """Naive mode: no admission, no queue, no bounds: dispatch now."""
         # The event fires at its scheduled time, so the clock is the
         # arrival time, exactly.
         now = self._sim.now
-        self.counters.offered += 1
-        if self.mode == "naive":
-            # No admission, no queue, no bounds: dispatch immediately.
-            self.counters.admitted += 1
-            vm = self._lb.route(now, 1.0, self._on_done_by_class[klass])
-            if vm is None:
-                self.counters.lost_to_trips += 1
-            elif self._auditor is not None:
-                self._request_seq += 1
-                self._observe_result(self._request_seq, vm)
-            return
-        assert self._admission is not None and self._queue is not None
-        if self._admission.admit(now, klass) != "admitted":
-            return
-        self._request_seq += 1
+        self.counters.admitted += 1
+        vm = self._lb.route(now, 1.0, self._on_done_by_class[klass])
+        if vm is None:
+            self.counters.lost_to_trips += 1
+        elif self._auditor is not None:
+            self._request_seq += 1
+            self._observe_result(self._request_seq, vm)
+
+    def _on_admitted(self, klass: PriorityClass) -> None:
+        """Robust mode: queue or dispatch a request :meth:`tick` admitted."""
+        now = self._sim.now
         queue = self._queue
+        assert queue is not None
+        self._request_seq += 1
         deadline_s = now + self._class_deadline_s[klass]
         if not queue.depth and self._lb.in_flight < self._max_in_flight:
             # Nothing waits and the fleet has room: the request passes
@@ -923,8 +967,8 @@ class ServiceCore:
         assert self._emergency is not None
         self._emergency.register(
             EmergencyStage.REVOKE_OVERCLOCK,
-            engage=lambda: "boost gate closed",  # _resolve_boost enforces it
-            release=lambda: "boost gate reopened",
+            engage=self._engage_revoke_overclock,
+            release=self._release_revoke_overclock,
         )
         self._emergency.register(
             EmergencyStage.POWER_CAP,
@@ -941,6 +985,12 @@ class ServiceCore:
             engage=self._engage_shutdown,
             release=self._release_shutdown,
         )
+
+    def _engage_revoke_overclock(self) -> str:
+        return "boost gate closed"  # _resolve_boost enforces it
+
+    def _release_revoke_overclock(self) -> str:
+        return "boost gate reopened"
 
     def _engage_emergency_cap(self) -> str:
         self._emergency_cap_watts = self.config.emergency_cap_watts

@@ -27,7 +27,9 @@ Endpoints
     probe, not report vacuous health).
 ``GET /readyz``
     Readiness: 200 once the session is open and the first tick has
-    completed, 503 before that.
+    completed, 503 before that. Reports whether the session
+    ``resumed`` from a WAL and the snapshot tick it was
+    ``restored_tick`` from (0 when it replayed from tick 0).
 ``GET /telemetry``
     The full :meth:`~repro.service.core.ServiceCore.snapshot` — all
     counters, ladder stages, thermal state — as sorted-key JSON.
@@ -349,7 +351,11 @@ class ServiceServer:
             return await self._respond(
                 writer,
                 200 if ready else 503,
-                {"status": "ready" if ready else "warming", "resumed": self.session.resumed},
+                {
+                    "status": "ready" if ready else "warming",
+                    "resumed": self.session.resumed,
+                    "restored_tick": self.session.restored_tick,
+                },
             )
         if request.path == "/telemetry":
             if request.method != "GET":

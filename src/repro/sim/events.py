@@ -13,6 +13,9 @@ skipped when popped: the "mark the entry as removed" recipe from the
 :mod:`heapq` documentation, which keeps cancellation O(1). Handles are
 opaque outside this package: cancel one with :meth:`EventQueue.cancel`
 or :meth:`~repro.sim.kernel.Simulator.cancel`.
+
+A queue pickles as its heap plus the next sequence number, so a
+restored queue numbers its next push exactly where the original would.
 """
 
 from __future__ import annotations
@@ -45,6 +48,17 @@ class EventQueue:
 
     def __len__(self) -> int:
         return sum(1 for entry in self._heap if entry[_CALLBACK] is not None)
+
+    def __getstate__(self) -> dict:
+        # A count's position can only be read by consuming it, so this
+        # queue carries on from a fresh count at the same number.
+        sequence = next(self._counter)
+        self._counter = itertools.count(sequence)
+        return {"heap": self._heap, "next_sequence": sequence}
+
+    def __setstate__(self, state: dict) -> None:
+        self._heap = state["heap"]
+        self._counter = itertools.count(state["next_sequence"])
 
     def push(self, time: float, callback: Callable[[], None], name: str = "") -> Event:
         """Schedule ``callback`` at ``time`` and return the event handle."""

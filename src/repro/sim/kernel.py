@@ -19,6 +19,7 @@ wall time and complete in milliseconds of real time.
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappop
 from typing import Callable
 
@@ -94,16 +95,18 @@ class Simulator:
         # A proxy entry that is never pushed: its callback slot gates
         # every future tick, so cancelling it stops the whole chain.
         proxy = [self.now + first_delay, -1, callback, name]
-
-        def guarded_tick() -> None:
-            if proxy[2] is None:
-                return
-            callback()
-            if proxy[2] is not None:
-                self.after(interval, guarded_tick, name)
-
-        self.after(first_delay, guarded_tick, name)
+        self.after(first_delay, partial(self._periodic_tick, proxy, interval), name)
         return proxy
+
+    def _periodic_tick(self, proxy: Event, interval: float) -> None:
+        """One occurrence of an :meth:`every` chain, which re-arms itself
+        while the chain's proxy entry is not cancelled."""
+        callback = proxy[2]
+        if callback is None:
+            return
+        callback()
+        if proxy[2] is not None:
+            self.after(interval, partial(self._periodic_tick, proxy, interval), proxy[3])
 
     #: Cancel an event handle from :meth:`at`, :meth:`after` or
     #: :meth:`every`; cancelling one that already fired is a no-op.

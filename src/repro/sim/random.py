@@ -47,6 +47,9 @@ _STANDARD_EXPONENTIAL = np.random.Generator.standard_exponential
 _STANDARD_NORMAL = np.random.Generator.standard_normal
 _STANDARD_UNIFORM = np.random.Generator.random
 
+#: The attributes holding each draw kind's batch iterators, by stream.
+_BATCH_KINDS = ("_exponential", "_normal", "_uniform")
+
 
 def _lognormal_params(mean: float, cv: float) -> tuple[float, float] | None:
     """``(mu, sigma)`` of the normal under a lognormal with this arithmetic
@@ -73,6 +76,10 @@ class RandomStreams:
     A buffered draw equals the matching ``Generator`` method's next
     variate for the stream, as long as the stream serves one kind of
     draw (every stream in this library does).
+
+    A registry pickles as its generators plus the rest of each batch,
+    so a restored registry draws exactly the variates the original
+    would have drawn next.
     """
 
     def __init__(self, master_seed: int = 0) -> None:
@@ -82,6 +89,31 @@ class RandomStreams:
         self._normal: dict[str, Iterator[float]] = {}
         self._uniform: dict[str, Iterator[float]] = {}
         self._lognormal: dict[tuple[float, float], tuple[float, float] | None] = {}
+
+    def __getstate__(self) -> dict:
+        # An iterator's position can only be read by consuming it: take
+        # the rest of each batch, and carry on over a copy of that rest.
+        rests = {}
+        for kind in _BATCH_KINDS:
+            batches = getattr(self, kind)
+            rest = {name: np.fromiter(batch, dtype=float) for name, batch in batches.items()}
+            for name, values in rest.items():
+                batches[name] = iter(memoryview(values))
+            rests[kind] = rest
+        return {
+            "master_seed": self._master_seed,
+            "streams": self._streams,
+            "rests": rests,
+            "lognormal": self._lognormal,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self._master_seed = state["master_seed"]
+        self._streams = state["streams"]
+        for kind in _BATCH_KINDS:
+            rest = state["rests"][kind]
+            setattr(self, kind, {name: iter(memoryview(values)) for name, values in rest.items()})
+        self._lognormal = state["lognormal"]
 
     @property
     def master_seed(self) -> int:

@@ -56,8 +56,11 @@ class LogHistogram:
     # ------------------------------------------------------------------
     def record(self, value: float) -> None:
         """Record one observation."""
-        if not value >= 0:
-            raise ConfigurationError(f"histogram values must be non-negative, got {value}")
+        # Written so that NaN fails it; an infinity would poison the mean.
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(
+                f"histogram values must be non-negative and finite, got {value}"
+            )
         value = max(value, self.min_value)
         self._buckets[self._index_of(value)] += 1
         self._count += 1

@@ -65,24 +65,23 @@ class ArrivalProcess:
         self._next_unit: float | None = None
         self.generated = 0
 
-    def _draw_gap(self) -> float:
-        return self._streams.exponential(self._stream_name, 1.0)
-
     def arrivals(self, start_s: float, duration_s: float, rate_rps: float) -> list[float]:
         """Arrival times in ``[start_s, start_s + duration_s)`` at ``rate_rps``."""
         if duration_s <= 0:
             raise ConfigurationError("arrival window must be positive")
         if rate_rps <= 0:
             return []
-        if self._next_unit is None:
-            self._next_unit = self._unit_clock + self._draw_gap()
-        advance = rate_rps * duration_s
-        horizon = self._unit_clock + advance
+        streams, name = self._streams, self._stream_name
+        unit_clock = self._unit_clock
+        next_unit = self._next_unit
+        if next_unit is None:
+            next_unit = unit_clock + streams.exponential(name, 1.0)
+        horizon = unit_clock + rate_rps * duration_s
         times: list[float] = []
-        while self._next_unit <= horizon:
-            offset = (self._next_unit - self._unit_clock) / rate_rps
-            times.append(start_s + offset)
-            self._next_unit += self._draw_gap()
+        while next_unit <= horizon:
+            times.append(start_s + (next_unit - unit_clock) / rate_rps)
+            next_unit += streams.exponential(name, 1.0)
+        self._next_unit = next_unit
         self._unit_clock = horizon
         self.generated += len(times)
         return times

@@ -77,7 +77,9 @@ class ServerVM:
     computes the rate and :meth:`_advance` integrates with it.
     :meth:`_advance` also integrates the Aperf/Pperf counters: every
     busy vcore-second runs ``f`` (in MHz) × 10⁶ active cycles, of which
-    the scalable fraction β are unstalled.
+    the scalable fraction β are unstalled. The per-request paths,
+    :meth:`submit` and :meth:`_complete_next`, inline both with the same
+    arithmetic in the same order.
     """
 
     def __init__(
@@ -115,6 +117,8 @@ class ServerVM:
         self._slowdown = self._slowdown_at(base_frequency_ghz)
         self._stream = f"service:{name}"
         self._event_name = f"{name}:complete"
+        #: The completion event's callback, bound once.
+        self._on_completion_event = self._complete_next
         self._latency = latency_recorder
         self._busy_seconds = 0.0
         self._aperf = 0.0
@@ -187,22 +191,48 @@ class ServerVM:
         self._rate = rate = (vcores / n if n > vcores else 1.0) / self._slowdown
         delay = (jobs[0][0] - self._virtual_time) / rate
         self._pending_completion = self._sim.after(
-            delay if delay > 0.0 else 0.0, self._complete_next, self._event_name
+            delay if delay > 0.0 else 0.0, self._on_completion_event, self._event_name
         )
 
     def _complete_next(self) -> None:
+        # _advance, the completion, then _reschedule, in one pass.
         self._pending_completion = None
-        self._advance()
-        if not self._jobs:
+        sim = self._sim
+        now = sim.now
+        jobs = self._jobs
+        span = now - self._last_advance
+        self._last_advance = now
+        n = len(jobs)
+        if span > 0 and n > 0:
+            self._virtual_time += self._rate * span
+            vcores = self.vcores
+            busy = (n if n < vcores else vcores) * span
+            self._busy_seconds += busy
+            cycles = busy * self._mhz * 1e6  # cycles = s * Hz
+            self._aperf += cycles
+            self._pperf += cycles * self.scalable_fraction
+        if not n:
             return
-        _target, _seq, arrival_time, on_complete = heappop(self._jobs)
+        _target, _seq, arrival_time, on_complete = heappop(jobs)
         self._completed += 1
-        now = self._sim.now
         if self._latency is not None:
             self._latency.record(now, now - arrival_time)
         if on_complete is not None:
             on_complete(now, arrival_time)
-        self._reschedule()
+        # The hook may have submitted to this VM, which re-arms the event.
+        pending = self._pending_completion
+        if pending is not None:
+            Simulator.cancel(pending)
+            self._pending_completion = None
+        if not jobs:
+            return
+        n = len(jobs)
+        vcores = self.vcores
+        self._rate = rate = (vcores / n if n > vcores else 1.0) / self._slowdown
+        delay = (jobs[0][0] - self._virtual_time) / rate
+        self._pending_completion = sim.after(
+            delay if delay > 0.0 else 0.0, self._on_completion_event, self._event_name
+        )
 
     def submit(
         self,
@@ -220,15 +250,36 @@ class ServerVM:
         """
         if not 0.0 < demand_scale < math.inf:
             raise WorkloadError("demand_scale must be positive and finite")
-        self._advance()
-        demand = demand_scale * self._sim.streams.lognormal(
+        # _advance, the new job, then _reschedule, in one pass.
+        sim = self._sim
+        now = sim.now
+        jobs = self._jobs
+        vcores = self.vcores
+        span = now - self._last_advance
+        self._last_advance = now
+        n = len(jobs)
+        if span > 0 and n > 0:
+            self._virtual_time += self._rate * span
+            busy = (n if n < vcores else vcores) * span
+            self._busy_seconds += busy
+            cycles = busy * self._mhz * 1e6  # cycles = s * Hz
+            self._aperf += cycles
+            self._pperf += cycles * self.scalable_fraction
+        demand = demand_scale * sim.streams.lognormal(
             self._stream, self._service_mean, self._service_cv
         )
         self._job_seq += 1
-        heappush(
-            self._jobs, (self._virtual_time + demand, self._job_seq, arrival_time, on_complete)
+        virtual_time = self._virtual_time
+        heappush(jobs, (virtual_time + demand, self._job_seq, arrival_time, on_complete))
+        pending = self._pending_completion
+        if pending is not None:
+            Simulator.cancel(pending)
+        n += 1
+        self._rate = rate = (vcores / n if n > vcores else 1.0) / self._slowdown
+        delay = (jobs[0][0] - virtual_time) / rate
+        self._pending_completion = sim.after(
+            delay if delay > 0.0 else 0.0, self._on_completion_event, self._event_name
         )
-        self._reschedule()
 
     def drop_all_jobs(self) -> int:
         """Destroy every in-flight job (a host trip); returns the count.

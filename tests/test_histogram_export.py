@@ -70,6 +70,16 @@ class TestLogHistogram:
             histogram.record(float("nan"))
         assert histogram.count == 0
 
+    def test_infinity_rejected_and_leaves_the_mean_finite(self):
+        # An accepted inf used to make every later mean inf.
+        histogram = LogHistogram()
+        with pytest.raises(ConfigurationError):
+            histogram.record(float("inf"))
+        histogram.record(1e-3)
+        assert histogram.count == 1
+        assert histogram.mean() == 1e-3
+        assert histogram.summary()["max"] == 1e-3
+
     @given(st.lists(st.floats(min_value=1e-5, max_value=100.0), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
     def test_quantile_monotone(self, values):

@@ -18,6 +18,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import RunJournal, SweepEngine, SweepTask, journal_path
 from repro.engine.journal import GENESIS, _chain_digest
@@ -74,6 +76,34 @@ class TestJournalBasics:
             pass
         with pytest.raises(JournalError, match="belongs to run"):
             RunJournal(path, "beta").open()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    content_key=st.one_of(st.text(), st.integers()),
+    task_key=st.text(),
+    value=st.dictionaries(st.text(max_size=8), st.integers() | st.text(max_size=8), max_size=3),
+)
+def test_record_line_is_the_json_of_its_fields(tmp_path_factory, content_key, task_key, value):
+    """Each line is the sorted-key JSON a reader parses, built directly."""
+    path = tmp_path_factory.mktemp("wal") / "run.wal"
+    with RunJournal(path, "run") as journal:
+        journal.record(content_key, task_key, value)
+    line = path.read_bytes().split(b"\n")[1]
+    body = json.dumps(
+        {
+            "key": content_key,
+            "task": task_key,
+            "pickle": pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL).hex(),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    record = json.loads(line)
+    assert record["body"] == body
+    assert line == json.dumps(record, sort_keys=True).encode()
+    with RunJournal(path, "run") as replayed:
+        assert replayed.replayed == {content_key: value}
 
 
 class TestChainValidation:

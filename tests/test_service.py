@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import pickle
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -23,8 +28,9 @@ from repro.service import (
 )
 from repro.service.admission import ClassPolicy
 from repro.service.brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
+from repro.service import checkpoint
 from repro.service.checkpoint import service_wal_path
-from repro.service.core import MAX_SURGE_FACTOR
+from repro.service.core import MAX_SURGE_FACTOR, MODES
 from repro.sim.random import RandomStreams
 from repro.workloads.diurnal import ArrivalProcess, DiurnalTrace
 
@@ -52,6 +58,17 @@ HOSTILE_OPS = {
         for op, key in (("overclock", "enable"), ("rollout", "hold"))
         for value in ("false", "true", 0, 1, None)
     },
+    # Numbers must be JSON numbers: float(True) is 1.0, float("10") 10.0.
+    "cap-true": {"op": "power-cap", "watts": True},
+    "cap-string": {"op": "power-cap", "watts": "90"},
+    "surge-factor-true": {"op": "demand-surge", "factor": True, "duration_s": 10.0},
+    "surge-duration-string": {"op": "demand-surge", "factor": 2.0, "duration_s": "10"},
+    "excursion-derate-string": {"op": "thermal-excursion", "derate": "0.5", "duration_s": 10.0},
+    "cap-huge-integer": {"op": "power-cap", "watts": 10**400},
+    # Below a host's draw at the capping floor (87.6 W at the defaults):
+    # a 1 W cap made every later tick raise PowerBudgetExceeded.
+    "cap-1W": {"op": "power-cap", "watts": 1},
+    "cap-87W": {"op": "power-cap", "watts": 87.0},
 }
 
 
@@ -505,6 +522,18 @@ class TestServiceCore:
         core.tick()
         assert core.counters.offered > offered
 
+    def test_lowest_accepted_cap_is_met_on_every_tick(self):
+        core = ServiceCore(seed=3)
+        core.run_ticks(5)
+        floor = core.min_power_cap_watts
+        assert 87.0 < floor < 90.0
+        with pytest.raises(ConfigurationError):
+            core.apply_op({"op": "power-cap", "watts": math.nextafter(floor, 0.0)})
+        assert core.apply_op({"op": "power-cap", "watts": floor}) == f"cap={floor:.0f}W"
+        core.apply_op({"op": "demand-surge", "factor": 3.0, "duration_s": 10.0})
+        core.run_ticks(60)
+        assert not core.boost_active
+
     def test_overclock_op_toggles_boost(self):
         core = ServiceCore(seed=1)
         core.run_ticks(2)
@@ -657,6 +686,9 @@ class TestServiceSession:
             "surge-factor-10.5",
             "overclock-enable-'false'",
             "rollout-hold-0",
+            "cap-1W",
+            "cap-true",
+            "surge-duration-string",
         ],
     )
     def test_rejected_op_is_never_journaled(self, tmp_path, name):
@@ -687,3 +719,206 @@ class TestServiceSession:
         resumed.tick()
         assert not resumed.core.boost_active
         resumed.close()
+
+
+# ----------------------------------------------------------------------
+# Snapshots: a picklable core, written every SNAPSHOT_INTERVAL_TICKS
+# ----------------------------------------------------------------------
+#: The storm's ops, plus the ops that reach the power-cap, overclock and
+#: vm-crash paths.
+_SNAPSHOT_OPS = st.sampled_from(
+    [
+        {"op": "demand-surge", "factor": 2.5, "duration_s": 60.0},
+        {"op": "thermal-excursion", "derate": 0.5, "duration_s": 60.0},
+        {"op": "demand-surge", "factor": 3.0, "duration_s": 90.0},
+        {"op": "power-cap", "watts": 90.0},
+        {"op": "power-cap", "watts": None},
+        {"op": "overclock", "enable": False},
+        {"op": "overclock", "enable": True},
+        *({"op": "vm-crash", "host": f"h{index}"} for index in range(4)),
+    ]
+)
+
+
+def _run_core(seed: int, mode: str, ticks: int, ops: dict[int, dict]) -> ServiceCore:
+    """An uninterrupted core: ``ops`` at their boundaries, ``ticks`` ticks,
+    then any op at boundary ``ticks``."""
+    core = ServiceCore(seed, mode=mode)
+    for boundary in range(ticks + 1):
+        if boundary in ops:
+            core.apply_op(dict(ops[boundary]))
+        if boundary < ticks:
+            core.tick()
+    return core
+
+
+def _journal(directory, seed: int, ticks: int, ops=None, mode: str = "robust") -> ServiceSession:
+    """Journal ``ticks`` ticks (and ``ops``) to the WAL of run ``run``."""
+    ops = ops or {}
+    with ServiceSession(directory, "run", seed, mode=mode) as session:
+        for boundary in range(ticks + 1):
+            if boundary in ops:
+                session.apply_op(dict(ops[boundary]))
+            if boundary < ticks:
+                session.tick()
+    return session
+
+
+def _resume(directory, seed: int, mode: str = "robust") -> ServiceSession:
+    session = ServiceSession(directory, "run", seed, mode=mode)
+    session.open()
+    session.close()
+    return session
+
+
+def _snapshot_paths(directory) -> list[Path]:
+    return sorted((Path(directory) / "service").glob("run.*.snap*"))
+
+
+def _records(directory) -> dict:
+    journal = RunJournal(service_wal_path(directory, "run"), "run")
+    try:
+        return journal.open()
+    finally:
+        journal.close()
+
+
+def _same_state(core: ServiceCore, reference: ServiceCore) -> None:
+    """Signature, every counter, the timeline, the latency summary (all
+    in ``snapshot()``), then the next 20 ticks' signatures."""
+    assert core.snapshot() == reference.snapshot()
+    assert [core.tick().signature for _ in range(20)] == [
+        reference.tick().signature for _ in range(20)
+    ]
+
+
+@settings(max_examples=30, deadline=None, phases=_SHRINK_NO_EXPLAIN)
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    mode=st.sampled_from(MODES),
+    interval=st.integers(min_value=3, max_value=9),
+    ticks=st.integers(min_value=1, max_value=40),
+    ops=st.dictionaries(st.integers(min_value=0, max_value=40), _SNAPSHOT_OPS, max_size=4),
+)
+def test_snapshot_resume_matches_full_replay_and_an_uninterrupted_core(
+    seed, mode, interval, ticks, ops
+):
+    ops = {boundary: op for boundary, op in ops.items() if boundary <= ticks}
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+        checkpoint, "SNAPSHOT_INTERVAL_TICKS", interval
+    ):
+        journaled = _journal(directory, seed, ticks, ops, mode)
+        assert journaled.snapshots_written == ticks // interval
+        assert len(_snapshot_paths(directory)) == min(ticks // interval, 2)
+        restored = _resume(directory, seed, mode)
+        for path in _snapshot_paths(directory):
+            path.unlink()
+        replayed = _resume(directory, seed, mode)
+    assert restored.restored_tick == ticks - ticks % interval
+    assert replayed.restored_tick == 0
+    assert restored.replayed_ticks == replayed.replayed_ticks == ticks
+    uninterrupted = _run_core(seed, mode, ticks, ops)
+    _same_state(restored.core, uninterrupted)
+    _same_state(replayed.core, _run_core(seed, mode, ticks, ops))
+
+
+@settings(max_examples=15, deadline=None, phases=_SHRINK_NO_EXPLAIN)
+@given(
+    seed=st.integers(min_value=0, max_value=50),
+    mode=st.sampled_from(MODES),
+    ticks=st.integers(min_value=0, max_value=150),
+    ops=st.dictionaries(st.integers(min_value=0, max_value=150), _SNAPSHOT_OPS, max_size=4),
+)
+def test_core_pickles_at_any_boundary_and_continues_bit_identically(seed, mode, ticks, ops):
+    core = _run_core(seed, mode, ticks, ops)
+    with warnings.catch_warnings():
+        # Pickling an itertools object warns on 3.12 and fails on 3.14.
+        warnings.simplefilter("error", DeprecationWarning)
+        clone = pickle.loads(pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL))
+    twin = _run_core(seed, mode, ticks, ops)
+    expected = [twin.tick().signature for _ in range(20)]
+    # Pickling reads the live core's stream and queue positions without
+    # moving them, so the pickled core continues as its clone does.
+    assert [clone.tick().signature for _ in range(20)] == expected
+    assert [core.tick().signature for _ in range(20)] == expected
+
+
+class TestServiceSnapshots:
+    @pytest.fixture(autouse=True)
+    def _small_interval(self, monkeypatch):
+        monkeypatch.setattr(checkpoint, "SNAPSHOT_INTERVAL_TICKS", 5)
+
+    def test_newest_two_snapshots_are_kept_and_journaled(self, tmp_path):
+        session = _journal(tmp_path, seed=3, ticks=17)
+        assert session.snapshots_written == 3
+        assert [path.name for path in _snapshot_paths(tmp_path)] == [
+            "run.00000010.snap",
+            "run.00000015.snap",
+        ]
+        records = _records(tmp_path)
+        snaps = sorted(key for key in records if key.startswith("snap:"))
+        assert snaps == ["snap:00000005", "snap:00000010", "snap:00000015"]
+        assert records["snap:00000015"]["signature"] == records["sig:00000015"]["signature"]
+        resumed = _resume(tmp_path, seed=3)
+        assert (resumed.restored_tick, resumed.replayed_ticks) == (15, 17)
+        assert resumed.core.signature == session.core.signature
+
+    def test_close_takes_no_snapshot(self, tmp_path):
+        session = _journal(tmp_path, seed=3, ticks=4)
+        assert session.snapshots_written == 0
+        assert _snapshot_paths(tmp_path) == []
+
+    def test_tampered_snapshot_falls_back_to_the_next_older(self, tmp_path):
+        session = _journal(tmp_path, seed=3, ticks=12)
+        newest = _snapshot_paths(tmp_path)[-1]
+        data = bytearray(newest.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        newest.write_bytes(bytes(data))
+        resumed = _resume(tmp_path, seed=3)
+        assert (resumed.restored_tick, resumed.replayed_ticks) == (5, 12)
+        assert resumed.core.signature == session.core.signature
+
+    def test_missing_snapshots_fall_back_to_a_full_replay(self, tmp_path):
+        session = _journal(tmp_path, seed=3, ticks=12)
+        newest, oldest = reversed(_snapshot_paths(tmp_path))
+        newest.unlink()
+        assert _resume(tmp_path, seed=3).restored_tick == 5
+        oldest.unlink()
+        resumed = _resume(tmp_path, seed=3)
+        assert (resumed.restored_tick, resumed.replayed_ticks) == (0, 12)
+        assert resumed.core.signature == session.core.signature
+
+    def test_torn_temp_file_is_ignored_then_pruned(self, tmp_path):
+        session = _journal(tmp_path, seed=3, ticks=7)
+        torn = tmp_path / "service" / "run.00000010.snap.4242.tmp"
+        torn.write_bytes(b"\x80\x05torn")
+        with ServiceSession(tmp_path, "run", 3) as resumed:
+            assert resumed.restored_tick == 5
+            assert resumed.core.signature == session.core.signature
+            for _ in range(3):
+                resumed.tick()
+        assert not torn.exists()
+        assert resumed.snapshots_written == 1
+
+    def test_restored_signature_that_differs_raises(self, tmp_path, monkeypatch):
+        def write_a_fresh_core(core, temp, final):
+            return checkpoint.write_snapshot(ServiceCore(seed=core.seed), temp, final)
+
+        monkeypatch.setattr(checkpoint, "_write_snapshot_in_child", write_a_fresh_core)
+        _journal(tmp_path, seed=3, ticks=6)
+        resumed = ServiceSession(tmp_path, "run", 3)
+        with pytest.raises(JournalError, match="snapshot"):
+            resumed.open()
+        assert resumed._journal._handle is None
+
+    def test_core_holding_a_foreign_closure_skips_its_snapshot(self, tmp_path):
+        with ServiceSession(tmp_path, "run", 3) as session:
+            session.core._sim.after(1e9, lambda: None, "foreign")
+            for _ in range(11):
+                session.tick()
+        assert (session.snapshots_written, session.snapshots_skipped) == (0, 2)
+        assert _snapshot_paths(tmp_path) == []
+        assert not any(key.startswith("snap:") for key in _records(tmp_path))
+        resumed = _resume(tmp_path, seed=3)
+        assert (resumed.restored_tick, resumed.replayed_ticks) == (0, 11)
+        assert resumed.core.signature == session.core.signature

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import JournalError
-from repro.service import ServiceSession, service_wal_path
+from repro.service import ServiceSession, checkpoint, service_wal_path
 
 from . import servicehelper
 
@@ -37,7 +37,9 @@ SEEDS = [int(token) for token in os.environ.get("REPRO_CHAOS_SEEDS", "1 2").spli
 KILL_AFTER_SIGS = servicehelper.OP_AT_TICK + 10
 
 
-def _spawn_service(tmp_path: Path, run_id: str, seed: int) -> subprocess.Popen:
+def _spawn_service(
+    tmp_path: Path, run_id: str, seed: int, *extra: str
+) -> subprocess.Popen:
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), str(repo_root)])
@@ -49,6 +51,7 @@ def _spawn_service(tmp_path: Path, run_id: str, seed: int) -> subprocess.Popen:
             str(tmp_path),
             run_id,
             str(seed),
+            *extra,
         ],
         env=env,
         cwd=repo_root,
@@ -114,6 +117,48 @@ class TestServiceSigkillResume:
             assert core.signature == reference["signature"]
         finally:
             session.close()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sigkill_during_a_snapshot_write_resumes_bit_identically(
+        self, tmp_path, seed, monkeypatch
+    ):
+        """Kill the service while it writes its second snapshot: the
+        resume restores the first and ignores the torn temp file."""
+        interval = 8
+        run_id = f"svc-snap-{seed}"
+        wal = service_wal_path(tmp_path, run_id)
+        child = _spawn_service(tmp_path, run_id, seed, str(interval))
+        try:
+            deadline = time.monotonic() + CHAOS_TIMEOUT_S
+            while time.monotonic() < deadline:
+                if wal.exists() and b"snap:0" in wal.read_bytes():
+                    if list(wal.parent.glob(f"{run_id}.*.tmp")):
+                        break
+                if child.poll() is not None:
+                    pytest.fail("service run finished before it could be killed")
+                time.sleep(0.005)
+            else:
+                pytest.fail("service never started a second snapshot")
+            child.kill()
+            child.wait(timeout=CHAOS_TIMEOUT_S)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=CHAOS_TIMEOUT_S)
+        (torn,) = wal.parent.glob(f"{run_id}.*.tmp")
+        assert torn.name.startswith(f"{run_id}.{2 * interval:08d}.snap.")
+
+        monkeypatch.setattr(checkpoint, "SNAPSHOT_INTERVAL_TICKS", interval)
+        resumed = servicehelper.run_service(str(tmp_path), run_id, seed=seed, sleep_s=0.0)
+        assert resumed["resumed"] is True
+        assert resumed["restored_tick"] == interval
+        assert resumed["tick"] == servicehelper.TICKS
+        reference = servicehelper.run_service(
+            str(tmp_path), f"ref-{seed}", seed=seed, sleep_s=0.0
+        )
+        assert resumed["signature"] == reference["signature"]
+        # The resumed run's own snapshots pruned the torn file.
+        assert not torn.exists()
 
     def test_resume_with_wrong_seed_is_refused(self, tmp_path):
         """A WAL written for one seed must not resume another service."""

@@ -106,6 +106,7 @@ class TestEndpoints:
                 status, body, _ = await _request(host, port, "GET", "/readyz")
                 assert (status, body["status"]) == (200, "ready")
                 assert body["resumed"] is False
+                assert body["restored_tick"] == 0
                 status, body, _ = await _request(host, port, "GET", "/telemetry")
                 assert status == 200
                 assert body["mode"] == "robust"
@@ -330,6 +331,7 @@ class TestServerRestart:
                 status, body, _ = await _request(host, port, "GET", "/readyz")
                 assert status == 200
                 assert body["resumed"] is True
+                assert body["restored_tick"] == 0  # fewer ticks than one snapshot
                 return server.session.replayed_ticks
             finally:
                 await server.stop()
