@@ -49,6 +49,19 @@ def _package_version() -> str:
     return getattr(repro, "__version__", "0")
 
 
+def fsync_directory(directory: Path) -> None:
+    """fsync ``directory``, so a file created or renamed in it survives
+    a crash."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _chain_digest(prev: str, kind: str, body: str) -> str:
     return hashlib.sha256(f"{prev}|{kind}|{body}".encode()).hexdigest()
 
@@ -108,7 +121,7 @@ class RunJournal:
             handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
-        self._fsync_parent()
+        fsync_directory(self.path.parent)
         self._chain = digest
 
     def _replay(self) -> None:
@@ -212,16 +225,6 @@ class RunJournal:
         self._chain = digest
         self.appended += 1
 
-    def _fsync_parent(self) -> None:
-        try:
-            fd = os.open(self.path.parent, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
@@ -246,4 +249,4 @@ def journal_path(cache_dir: str | Path, run_id: str) -> Path:
     return Path(cache_dir) / "journal" / f"{run_id}.wal"
 
 
-__all__ = ["RunJournal", "journal_path", "GENESIS"]
+__all__ = ["RunJournal", "journal_path", "fsync_directory", "GENESIS"]

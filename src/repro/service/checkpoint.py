@@ -61,7 +61,7 @@ from array import array
 from pathlib import Path
 from typing import BinaryIO, Mapping
 
-from ..engine.journal import RunJournal
+from ..engine.journal import RunJournal, fsync_directory
 from ..errors import JournalError
 from .core import ServiceConfig, ServiceCore, TickSample
 
@@ -112,25 +112,21 @@ def _assign_state(obj: object, state: dict) -> None:
         object.__setattr__(obj, sys.intern(name), value)
 
 
-def _array_from_buffer(typecode: str, buffer) -> array:
-    """An :class:`array.array` restored from its out-of-band buffer,
-    which :func:`read_snapshot` already read into an array."""
-    if isinstance(buffer, array) and buffer.typecode == typecode:
-        return buffer
-    restored = array(typecode)
-    restored.frombytes(buffer)
-    return restored
+def _float_array(buffer: array) -> array:
+    """A float64 :class:`array.array` pickled out of band, which
+    :func:`read_snapshot` has already read into an array of its own."""
+    return buffer
 
 
 class _SnapshotPickler(pickle.Pickler):
     """Pickles this package's plain instances to restore via
-    :func:`_assign_state`, and arrays' data out of band; everything else
-    pickles as usual."""
+    :func:`_assign_state`, and float64 arrays' data out of band;
+    everything else pickles as usual."""
 
     def reducer_override(self, obj: object):
         cls = type(obj)
-        if cls is array:
-            return _array_from_buffer, (obj.typecode, pickle.PickleBuffer(obj))
+        if cls is array and obj.typecode == "d":
+            return _float_array, (pickle.PickleBuffer(obj),)
         if not cls.__module__.startswith("repro.") or hasattr(cls, "__setstate__"):
             return NotImplemented
         reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
@@ -154,17 +150,6 @@ class _HashingWriter:
     def write(self, data: bytes) -> int:
         self.sha256.update(data)
         return self._handle.write(data)
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def write_snapshot(core: ServiceCore, temp: Path, final: Path) -> str:
@@ -200,7 +185,7 @@ def write_snapshot(core: ServiceCore, temp: Path, final: Path) -> str:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    _fsync_directory(final.parent)
+    fsync_directory(final.parent)
     return writer.sha256.hexdigest()
 
 
@@ -239,7 +224,9 @@ def _write_snapshot_in_child(core: ServiceCore, temp: Path, final: Path) -> str 
 
 
 def read_snapshot(path: Path) -> object:
-    """Unpickle a file :func:`write_snapshot` wrote."""
+    """Unpickle a file :func:`write_snapshot` wrote. Unpickling can run
+    any code, so read only a file whose sha256 matches its ``snap``
+    record."""
     with open(path, "rb") as handle:
         handle.seek(-_LAYOUT_LENGTH.size, os.SEEK_END)
         (length,) = _LAYOUT_LENGTH.unpack(handle.read(_LAYOUT_LENGTH.size))
@@ -247,8 +234,11 @@ def read_snapshot(path: Path) -> object:
         layout = json.loads(handle.read(length))
         handle.seek(layout["stream"])
         buffers = []
-        for format, nbytes in layout["buffers"]:
-            buffer = array("d", [0.0]) * (nbytes // 8) if format == "d" else bytearray(nbytes)
+        for item_format, nbytes in layout["buffers"]:
+            if item_format == "d":
+                buffer = array("d", [0.0]) * (nbytes // 8)
+            else:
+                buffer = bytearray(nbytes)
             with memoryview(buffer) as view, view.cast("B") as raw:
                 if handle.readinto(raw) != nbytes:
                     raise JournalError(f"snapshot {path} is truncated")
