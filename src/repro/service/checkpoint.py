@@ -66,7 +66,7 @@ from ..errors import JournalError
 from .core import ServiceConfig, ServiceCore, TickSample
 
 #: Ticks between core snapshots: about 4.3 minutes at the live 250 ms
-#: tick, so a resume replays at most this many ticks (~0.7 s).
+#: tick, so a resume replays at most this many ticks (under a second).
 SNAPSHOT_INTERVAL_TICKS = 1024
 
 #: Snapshot files kept next to the WAL; older ones are deleted.
