@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from functools import partial
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.control import ActuationLink, ChannelConfig
 from repro.engine.journal import RunJournal
 from repro.errors import ConfigurationError, JournalError
 from repro.service import (
@@ -31,6 +33,8 @@ from repro.service.brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
 from repro.service import checkpoint
 from repro.service.checkpoint import service_wal_path
 from repro.service.core import MAX_SURGE_FACTOR, MODES
+from repro.faults.timeline import FaultTimeline
+from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.workloads.diurnal import ArrivalProcess, DiurnalTrace
 
@@ -841,6 +845,51 @@ def test_core_pickles_at_any_boundary_and_continues_bit_identically(seed, mode, 
     # moving them, so the pickled core continues as its clone does.
     assert [clone.tick().signature for _ in range(20)] == expected
     assert [core.tick().signature for _ in range(20)] == expected
+
+
+def _lossy_control_plane(seed: int):
+    """A simulator and a two-host actuation link over a lossy, slow,
+    duplicating channel, so commands, acks, timeouts and retries are in
+    flight at most instants; a frequency command every 0.7 s and a
+    heartbeat every 0.25 s."""
+    sim = Simulator(seed)
+    timeline = FaultTimeline()
+    link = ActuationLink(
+        sim,
+        seed=seed,
+        channel_config=ChannelConfig(
+            drop_probability=0.3,
+            duplicate_probability=0.2,
+            min_delay_s=0.05,
+            max_delay_s=0.9,
+        ),
+        reconcile_interval_s=None,
+        timeline=timeline,
+    )
+    for host in ("h0", "h1"):
+        link.add_host(host, base_frequency_ghz=3.4)
+    sim.every(0.25, link.heartbeat)
+    sim.every(0.7, partial(link.set_frequency, 4.1))
+    return sim, link, timeline
+
+
+@settings(max_examples=15, deadline=None, phases=_SHRINK_NO_EXPLAIN)
+@given(seed=st.integers(min_value=0, max_value=50), at_s=st.floats(min_value=0.0, max_value=30.0))
+def test_control_plane_pickles_with_messages_and_retries_in_flight(seed, at_s):
+    sim, link, timeline = _lossy_control_plane(seed)
+    sim.run(until=at_s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        clone = pickle.loads(pickle.dumps((sim, link, timeline), protocol=pickle.HIGHEST_PROTOCOL))
+    twin = _lossy_control_plane(seed)
+    twin[0].run(until=at_s)
+    for run_sim, run_link, run_timeline in ((sim, link, timeline), clone, twin):
+        run_sim.run(until=at_s + 20.0)
+    assert link.counters.retries > 0 and link.counters.failures > 0
+    for other_sim, other_link, other_timeline in (clone, twin):
+        assert other_link.counters == link.counters
+        assert other_timeline.signature() == timeline.signature()
+        assert other_sim.processed_events == sim.processed_events
 
 
 class TestServiceSnapshots:
