@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check paper-check example-autoscaling clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check paper-check example-autoscaling wal-soak clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -189,6 +189,19 @@ bench-check:
 		$(PYTHON) bench/run.py --workload $$workload --seed 1 --seconds 0.01 --trace 0 \
 			|| exit 1; \
 	done
+
+# WAL soak (~1 min): serve 20,000 unpaced ticks through `python -m repro
+# serve` into a temporary cache directory, then resume the run in-process
+# (tests/walsoak.py). Fails unless WAL compaction left one WAL file and at
+# most SNAPSHOTS_KEPT snapshots, and the resume read at most one snapshot
+# interval of records: 1,024 sig records plus the ops, the kept snap
+# records, meta and the journal header.
+wal-soak:
+	@dir="$$(mktemp -d)"; \
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro serve --seed 3 --run soak --port 0 \
+		--cache-dir "$$dir" --ticks 20000 --tick-interval 0.0005 \
+	&& PYTHONPATH=$(PYTHONPATH):. $(PYTHON) -m tests.walsoak "$$dir" soak 3 20000; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
 clean-cache:
 	rm -rf .repro_cache

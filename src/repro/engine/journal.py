@@ -32,7 +32,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterable
 
 from ..errors import JournalError
 
@@ -66,6 +66,49 @@ def _chain_digest(prev: str, kind: str, body: str) -> str:
     return hashlib.sha256(f"{prev}|{kind}|{body}".encode()).hexdigest()
 
 
+def _header_line(run_id: str) -> tuple[bytes, str]:
+    """A journal's first line, and its chain digest."""
+    body = json.dumps(
+        {"run": run_id, "version": _package_version()},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    digest = _chain_digest(GENESIS, "header", body)
+    record = {"type": "header", "body": body, "sha256": digest}
+    return json.dumps(record, sort_keys=True).encode() + b"\n", digest
+
+
+def _result_line(chain: str, content_key: str, task_key: str, value: Any) -> tuple[bytes, str]:
+    """The line that appends ``value`` after chain digest ``chain``, and
+    its own digest."""
+    # The text json.dumps gives these two dicts with sorted keys (the
+    # body's without spaces), built directly: the live service writes
+    # one record per tick, and hex digits need no escaping.
+    body = (
+        f'{{"key":{_COMPACT_JSON.encode(content_key)},'
+        f'"pickle":"{pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL).hex()}",'
+        f'"task":{_COMPACT_JSON.encode(task_key)}}}'
+    )
+    digest = _chain_digest(chain, "result", body)
+    line = f'{{"body": {json.dumps(body)}, "sha256": "{digest}", "type": "result"}}\n'
+    return line.encode(), digest
+
+
+def write_journal(
+    handle: BinaryIO, run_id: str, records: Iterable[tuple[str, str, Any]]
+) -> str:
+    """Write a whole journal of run ``run_id`` to ``handle``: the header,
+    then each ``(content_key, task_key, value)`` record, chained as
+    :meth:`RunJournal.record` chains them. Returns the chain head; the
+    caller flushes and fsyncs."""
+    line, chain = _header_line(run_id)
+    handle.write(line)
+    for content_key, task_key, value in records:
+        line, chain = _result_line(chain, content_key, task_key, value)
+        handle.write(line)
+    return chain
+
+
 class RunJournal:
     """Append-only, fsync'd, sha256-chained record of one campaign.
 
@@ -85,6 +128,8 @@ class RunJournal:
         self.replayed: dict[str, Any] = {}
         #: Records appended by this process (not counting replayed ones).
         self.appended = 0
+        #: Records :meth:`open` read and validated, the header included.
+        self.records_read = 0
         self._chain = GENESIS
         self._handle = None
 
@@ -110,66 +155,71 @@ class RunJournal:
         return self.replayed
 
     def _create(self) -> None:
-        body = json.dumps(
-            {"run": self.run_id, "version": _package_version()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        digest = _chain_digest(GENESIS, "header", body)
-        record = {"type": "header", "body": body, "sha256": digest}
         with open(self.path, "wb") as handle:
-            handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+            chain = write_journal(handle, self.run_id, ())
             handle.flush()
             os.fsync(handle.fileno())
         fsync_directory(self.path.parent)
-        self._chain = digest
+        self._chain = chain
 
     def _replay(self) -> None:
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        # A crash mid-append leaves a torn final line; drop it (and any
-        # trailing empty string from the final newline).
+        # Streamed a line at a time, so a long WAL is never held whole.
         valid_bytes = 0
         chain = GENESIS
         parsed_header = False
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                kind = record["type"]
-                body = record["body"]
-                claimed = record["sha256"]
-            except (json.JSONDecodeError, KeyError, TypeError) as error:
-                if index >= len(lines) - 2:
-                    break  # torn tail: expected crash damage
-                raise JournalError(
-                    f"journal {self.path} is corrupt at line {index + 1}: "
-                    f"{type(error).__name__}"
-                ) from error
-            expected = _chain_digest(chain, kind, body)
-            if claimed != expected:
-                raise JournalError(
-                    f"journal {self.path} fails sha256 chain validation at "
-                    f"line {index + 1} (run {self.run_id!r}); refusing to resume "
-                    "from a tampered or reordered WAL"
-                )
-            chain = claimed
-            if kind == "header":
-                self._check_header(body)
-                parsed_header = True
-            elif kind == "result":
-                if not parsed_header:
-                    raise JournalError(f"journal {self.path} has no header record")
-                payload = json.loads(body)
-                self.replayed[payload["key"]] = pickle.loads(
-                    bytes.fromhex(payload["pickle"])
-                )
-            else:
-                raise JournalError(
-                    f"journal {self.path} has unknown record type {kind!r}"
-                )
-            valid_bytes += len(line) + 1
+        with open(self.path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            lines = iter(handle)
+            following = next(lines, None)
+            index = 0
+            while following is not None:
+                line, following = following, next(lines, None)
+                index += 1
+                # A crash mid-append leaves a torn final line: a line
+                # that fails to parse is dropped as that tail if it is
+                # the last, or the last complete one before a torn
+                # fragment (the only line without a newline).
+                tail = following is None or not following.endswith(b"\n")
+                if line.endswith(b"\n"):
+                    line = line[:-1]
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                    kind = record["type"]
+                    body = record["body"]
+                    claimed = record["sha256"]
+                except (json.JSONDecodeError, KeyError, TypeError) as error:
+                    if tail:
+                        break  # torn tail: expected crash damage
+                    raise JournalError(
+                        f"journal {self.path} is corrupt at line {index}: "
+                        f"{type(error).__name__}"
+                    ) from error
+                expected = _chain_digest(chain, kind, body)
+                if claimed != expected:
+                    raise JournalError(
+                        f"journal {self.path} fails sha256 chain validation at "
+                        f"line {index} (run {self.run_id!r}); refusing to resume "
+                        "from a tampered or reordered WAL"
+                    )
+                chain = claimed
+                if kind == "header":
+                    self._check_header(body)
+                    parsed_header = True
+                elif kind == "result":
+                    if not parsed_header:
+                        raise JournalError(f"journal {self.path} has no header record")
+                    payload = json.loads(body)
+                    self.replayed[payload["key"]] = pickle.loads(
+                        bytes.fromhex(payload["pickle"])
+                    )
+                else:
+                    raise JournalError(
+                        f"journal {self.path} has unknown record type {kind!r}"
+                    )
+                valid_bytes += len(line) + 1
+                self.records_read += 1
         if not parsed_header:
             if valid_bytes == 0:
                 # Killed during creation before the header landed: the
@@ -178,7 +228,7 @@ class RunJournal:
                 self._create()
                 return
             raise JournalError(f"journal {self.path} has no header record")
-        if valid_bytes < len(raw):
+        if valid_bytes < size:
             # Truncate the torn tail so the next append continues the
             # chain from the last valid record.
             with open(self.path, "r+b") as handle:
@@ -209,17 +259,8 @@ class RunJournal:
         """Durably append one completed sweep point."""
         if self._handle is None:
             raise JournalError(f"journal {self.path} is not open")
-        # The text json.dumps gives these two dicts with sorted keys (the
-        # body's without spaces), built directly: the live service writes
-        # one record per tick, and hex digits need no escaping.
-        body = (
-            f'{{"key":{_COMPACT_JSON.encode(content_key)},'
-            f'"pickle":"{pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL).hex()}",'
-            f'"task":{_COMPACT_JSON.encode(task_key)}}}'
-        )
-        digest = _chain_digest(self._chain, "result", body)
-        line = f'{{"body": {json.dumps(body)}, "sha256": "{digest}", "type": "result"}}\n'
-        self._handle.write(line.encode())
+        line, digest = _result_line(self._chain, content_key, task_key, value)
+        self._handle.write(line)
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._chain = digest
@@ -249,4 +290,4 @@ def journal_path(cache_dir: str | Path, run_id: str) -> Path:
     return Path(cache_dir) / "journal" / f"{run_id}.wal"
 
 
-__all__ = ["RunJournal", "journal_path", "fsync_directory", "GENESIS"]
+__all__ = ["RunJournal", "journal_path", "fsync_directory", "write_journal", "GENESIS"]

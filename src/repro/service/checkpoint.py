@@ -20,16 +20,26 @@ is a bound method or a :func:`functools.partial`, and the simulator's
 random streams and event queue pickle their exact positions, so a
 restored core continues bit-identically.
 
+Right after each ``snap`` record the session *compacts* the WAL: it
+writes a fresh file holding only the ``meta`` record, the ``snap``
+records of the snapshot files still kept, and every ``op`` record, and
+renames it over the live WAL. Ops grow with operator actions, not with
+ticks, so the WAL holds at most one interval of ``sig`` records and a
+resume parses that much whatever the uptime. A crash before the rename
+leaves the old WAL, which already holds the new ``snap`` record; one
+after it leaves the compacted WAL; both resume the same way.
+
 On restart :class:`ServiceSession` takes the newest snapshot whose file
 matches its sha256, checks that the restored chain signature equals the
 journaled one (a mismatch raises, like a replay divergence), re-applies
 the ops journaled at or after its tick, and *replays* only the ticks
 after it, comparing every journaled signature against the rebuilt
 chain. A missing or damaged file falls back to the next older snapshot,
-and then to a full replay from tick 0 — the same loop, started from a
-fresh core, which is also the test oracle. The WAL itself reuses
-:class:`~repro.engine.journal.RunJournal`, inheriting its sha256
-chaining, torn-tail truncation, and fsync discipline.
+and then to a full replay from tick 0 driven by the carried ops — the
+same loop, started from a fresh core, which is also the test oracle.
+The WAL itself reuses :class:`~repro.engine.journal.RunJournal`,
+inheriting its sha256 chaining, torn-tail truncation, and fsync
+discipline.
 
 Two details keep snapshots cheap for the live core:
 
@@ -59,9 +69,9 @@ import sys
 import warnings
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from ..engine.journal import RunJournal, fsync_directory
+from ..engine.journal import RunJournal, fsync_directory, write_journal
 from ..errors import JournalError
 from .core import ServiceConfig, ServiceCore, TickSample
 
@@ -72,9 +82,10 @@ SNAPSHOT_INTERVAL_TICKS = 1024
 #: Snapshot files kept next to the WAL; older ones are deleted.
 SNAPSHOTS_KEPT = 2
 
-#: What follows ``<run_id>.`` in the name of a snapshot file, or of one
-#: being written (``.<pid>.tmp`` appended).
-_SNAPSHOT_NAME = re.compile(r"\d{8}\.snap(\.\d+\.tmp)?")
+#: What follows ``<run_id>.`` in the name of a snapshot file, of one
+#: being written (``.<pid>.tmp`` appended), or of a compacted WAL being
+#: written.
+_SIDE_FILE_NAME = re.compile(r"\d{8}\.snap(\.\d+\.tmp)?|wal\.\d+\.tmp")
 
 #: Bytes read at a time when hashing a snapshot file.
 _HASH_CHUNK = 1 << 16
@@ -93,6 +104,32 @@ def _config_fingerprint(config: ServiceConfig) -> str:
     """Digest of the full configuration (nested dataclass reprs are
     deterministic, so equal configs always fingerprint equally)."""
     return hashlib.sha256(repr(config).encode()).hexdigest()
+
+
+def _op_record(op: dict) -> tuple[str, str, dict]:
+    """An ``op`` record's journal keys, and the record itself."""
+    return f"op:{op['seq']:08d}", f"op-{op['seq']}", op
+
+
+def _snap_record(snap: dict) -> tuple[str, str, dict]:
+    """A ``snap`` record's journal keys, and the record itself."""
+    return f"snap:{snap['tick']:08d}", f"snap-{snap['tick']}", snap
+
+
+def write_compacted_wal(
+    temp: Path, run_id: str, records: Iterable[tuple[str, str, object]]
+) -> None:
+    """Write a fresh WAL of run ``run_id`` holding only ``records`` to
+    ``temp`` and fsync it; :meth:`ServiceSession.tick` then renames it
+    over the live WAL."""
+    try:
+        with open(temp, "wb") as handle:
+            write_journal(handle, run_id, records)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +300,8 @@ class ServiceSession:
     snapshot (or built afresh) and replayed to the last journaled tick,
     signature-verified along the way. All further :meth:`tick` /
     :meth:`apply_op` calls journal as they go, and every
-    :data:`SNAPSHOT_INTERVAL_TICKS` ticks :meth:`tick` writes a snapshot.
+    :data:`SNAPSHOT_INTERVAL_TICKS` ticks :meth:`tick` writes a snapshot
+    and compacts the WAL. :attr:`path` is always the live WAL.
     """
 
     def __init__(
@@ -290,12 +328,19 @@ class ServiceSession:
         self.replayed_ticks = 0
         #: The snapshot tick the resume started from (0: a full replay).
         self.restored_tick = 0
+        #: WAL records the resume parsed, the journal header included
+        #: (0 for a fresh run).
+        self.records_read = 0
         #: Snapshots this session journaled, and those it skipped
         #: because the core could not be pickled.
         self.snapshots_written = 0
         self.snapshots_skipped = 0
-        #: Journaled snapshot file names, oldest first.
-        self._snapshot_files: list[str] = []
+        #: What a compaction carries into the fresh WAL: the ``meta``
+        #: record, the kept ``snap`` records (oldest first) and every
+        #: ``op`` record (in sequence order).
+        self._meta: dict = {}
+        self._snapshots: list[dict] = []
+        self._ops: list[dict] = []
         self._op_seq = 0
 
     # ------------------------------------------------------------------
@@ -308,23 +353,24 @@ class ServiceSession:
         error propagates, so the same WAL can be opened afresh.
         """
         replayed = self._journal.open()
+        self.records_read = self._journal.records_read
         try:
             meta = replayed.get("meta")
             if meta is None:
                 self.core = ServiceCore(seed=self.seed, config=self.config, mode=self.mode)
-                self._journal.record(
-                    "meta",
-                    "meta",
-                    {
-                        "seed": self.seed,
-                        "mode": self.mode,
-                        "config": _config_fingerprint(self.config),
-                    },
-                )
+                self._meta = {
+                    "seed": self.seed,
+                    "mode": self.mode,
+                    "config": _config_fingerprint(self.config),
+                }
+                self._journal.record("meta", "meta", self._meta)
             else:
                 self.resumed = True
                 self._verify_meta(meta)
+                self._meta = meta
                 self._replay(replayed)
+                # The session keeps what it carries forward itself.
+                replayed.clear()
         except BaseException:
             self._journal.close()
             raise
@@ -359,8 +405,9 @@ class ServiceSession:
             for key, value in replayed.items()
             if key.startswith(("sig:", "snap:"))
         }
+        self._ops = ops
         self._op_seq = max((record["seq"] for record in ops), default=0)
-        self._snapshot_files = [record["file"] for record in snapshots]
+        self._snapshots = snapshots[-SNAPSHOTS_KEPT:]
         target = max(signatures, default=0)
         core = self._restore(snapshots)
         if core is None:
@@ -432,38 +479,58 @@ class ServiceSession:
         return sample
 
     def _snapshot(self, sample: TickSample) -> None:
-        """Write the core to a side file, then journal a record naming it."""
+        """Write the core to a side file, journal a record naming it,
+        then compact the WAL."""
         final = self.path.with_name(f"{self.run_id}.{sample.tick:08d}.snap")
         temp = final.with_name(f"{final.name}.{os.getpid()}.tmp")
         digest = _write_snapshot_in_child(self.core, temp, final)
         if digest is None:
             self.snapshots_skipped += 1
             return
-        self._journal.record(
-            f"snap:{sample.tick:08d}",
-            f"snap-{sample.tick}",
-            {
-                "tick": sample.tick,
-                "signature": sample.signature,
-                "file": final.name,
-                "sha256": digest,
-            },
-        )
+        snap = {
+            "tick": sample.tick,
+            "signature": sample.signature,
+            "file": final.name,
+            "sha256": digest,
+        }
+        self._journal.record(*_snap_record(snap))
         self.snapshots_written += 1
-        self._snapshot_files.append(final.name)
-        self._prune_snapshots()
+        self._snapshots = [*self._snapshots, snap][-SNAPSHOTS_KEPT:]
+        self._compact()
+        self._prune_side_files()
 
-    def _prune_snapshots(self) -> None:
-        """Delete this run's snapshot files but the newest kept ones,
-        with any temp file a killed writer left behind."""
-        kept = set(self._snapshot_files[-SNAPSHOTS_KEPT:])
+    def _carried_records(self) -> Iterator[tuple[str, str, dict]]:
+        yield "meta", "meta", self._meta
+        for snap in self._snapshots:
+            yield _snap_record(snap)
+        for op in self._ops:
+            yield _op_record(op)
+
+    def _compact(self) -> None:
+        """Replace the WAL with one holding only the carried records,
+        and journal on from there."""
+        temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        write_compacted_wal(temp, self.run_id, self._carried_records())
+        os.replace(temp, self.path)
+        fsync_directory(self.path.parent)
+        self._journal.close()
+        self._journal = RunJournal(self.path, self.run_id)
+        # Reopening checks the new file's chain; the session already
+        # holds every record it carries.
+        self._journal.open()
+        self._journal.replayed.clear()
+
+    def _prune_side_files(self) -> None:
+        """Delete this run's snapshot files but the kept ones, with any
+        temp file a killed snapshot writer or compaction left behind."""
+        kept = {snap["file"] for snap in self._snapshots}
         prefix = f"{self.run_id}."
         for path in self.path.parent.iterdir():
             name = path.name
             if (
                 name not in kept
                 and name.startswith(prefix)
-                and _SNAPSHOT_NAME.fullmatch(name[len(prefix):])
+                and _SIDE_FILE_NAME.fullmatch(name[len(prefix):])
             ):
                 path.unlink(missing_ok=True)
 
@@ -480,11 +547,9 @@ class ServiceSession:
         boundary = self.core.tick_index
         detail = self.core.apply_op(op)
         self._op_seq += 1
-        self._journal.record(
-            f"op:{self._op_seq:08d}",
-            f"op-{self._op_seq}",
-            {"seq": self._op_seq, "tick": boundary, "op": dict(op)},
-        )
+        record = {"seq": self._op_seq, "tick": boundary, "op": dict(op)}
+        self._journal.record(*_op_record(record))
+        self._ops.append(record)
         return detail
 
     # ------------------------------------------------------------------
@@ -508,5 +573,6 @@ __all__ = [
     "ServiceSession",
     "read_snapshot",
     "service_wal_path",
+    "write_compacted_wal",
     "write_snapshot",
 ]

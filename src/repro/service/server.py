@@ -28,8 +28,9 @@ Endpoints
 ``GET /readyz``
     Readiness: 200 once the session is open and the first tick has
     completed, 503 before that. Reports whether the session
-    ``resumed`` from a WAL and the snapshot tick it was
-    ``restored_tick`` from (0 when it replayed from tick 0).
+    ``resumed`` from a WAL, the snapshot tick it was ``restored_tick``
+    from (0 when it replayed from tick 0) and the WAL
+    ``records_read`` to get there.
 ``GET /telemetry``
     The full :meth:`~repro.service.core.ServiceCore.snapshot` — all
     counters, ladder stages, thermal state — as sorted-key JSON.
@@ -355,6 +356,7 @@ class ServiceServer:
                     "status": "ready" if ready else "warming",
                     "resumed": self.session.resumed,
                     "restored_tick": self.session.restored_tick,
+                    "records_read": self.session.records_read,
                 },
             )
         if request.path == "/telemetry":

@@ -9,12 +9,15 @@ asserts the rebuilt core's chained tick signature is bit-identical to
 an uninterrupted reference run.
 
 Invoked as ``python -m tests.servicehelper <cache_dir> <run_id> <seed>
-[snapshot_interval]`` with ``PYTHONPATH`` covering both ``src/`` and the
-repository root. With a snapshot interval the session snapshots every
-that many ticks, and each snapshot writer first leaves a torn temp file
-and stalls for :data:`SNAPSHOT_STALL_S`, so the parent test can SIGKILL
-the service during a snapshot write. A writer whose service is killed
-exits at once, leaving the torn file behind.
+[snapshot_interval [compaction]]`` with ``PYTHONPATH`` covering both
+``src/`` and the repository root. With a snapshot interval the session
+snapshots every that many ticks, and each snapshot writer first leaves a
+torn temp file and stalls for :data:`SNAPSHOT_STALL_S`, so the parent
+test can SIGKILL the service during a snapshot write. A writer whose
+service is killed exits at once, leaving the torn file behind. With
+``compaction`` the snapshot writes run as usual, and instead each WAL
+compaction stalls for :data:`COMPACTION_STALL_S` between its temp
+file's fsync and the rename over the live WAL.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ OP = {"op": "demand-surge", "factor": 1.8, "duration_s": 30.0}
 SLEEP_S = 0.05
 #: How long each snapshot writer stalls after its torn first bytes.
 SNAPSHOT_STALL_S = 0.4
+#: How long each compaction stalls between its fsync and its rename.
+COMPACTION_STALL_S = 0.4
 
 
 def run_service(
@@ -88,11 +93,27 @@ def _stalling_writer(write_snapshot):
     return write
 
 
+def _stalling_compaction(write_compacted_wal):
+    """``write_compacted_wal``, then a stall before the session renames
+    the fsync'd temp file over the live WAL."""
+
+    def write(temp, run_id, records):
+        write_compacted_wal(temp, run_id, records)
+        time.sleep(COMPACTION_STALL_S)
+
+    return write
+
+
 def main(argv: list[str]) -> int:
     cache_dir, run_id, seed = argv[1], argv[2], int(argv[3])
     if len(argv) > 4:
         checkpoint.SNAPSHOT_INTERVAL_TICKS = int(argv[4])
-        checkpoint.write_snapshot = _stalling_writer(checkpoint.write_snapshot)
+        if argv[5:] == ["compaction"]:
+            checkpoint.write_compacted_wal = _stalling_compaction(
+                checkpoint.write_compacted_wal
+            )
+        else:
+            checkpoint.write_snapshot = _stalling_writer(checkpoint.write_snapshot)
     run_service(cache_dir, run_id, seed=seed)
     print("SERVICE-DONE", flush=True)
     return 0

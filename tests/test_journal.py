@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import RunJournal, SweepEngine, SweepTask, journal_path
-from repro.engine.journal import GENESIS, _chain_digest
+from repro.engine.journal import GENESIS, _chain_digest, write_journal
 from repro.errors import JournalError
 
 from . import walhelper
@@ -151,6 +151,30 @@ class TestChainValidation:
         # The file is whole again: replay sees all three records.
         with RunJournal(path, "chained") as journal:
             assert set(journal.replayed) == {"key0", "key1", "key2"}
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b'{"type": "result", "body": "{\\"k',
+            # A damaged last complete line before a torn fragment is
+            # dropped with it.
+            b'{"type": "res\n{"ty',
+        ],
+        ids=["torn-line", "damaged-line-and-fragment"],
+    )
+    def test_torn_tail_after_thousands_of_records_truncated(self, tmp_path, tail):
+        path = tmp_path / "long.wal"
+        with open(path, "wb") as handle:
+            write_journal(handle, "long", ((f"key{i}", f"t{i}", i) for i in range(3000)))
+        intact = path.read_bytes()
+        path.write_bytes(intact + tail)
+        with RunJournal(path, "long") as journal:
+            assert journal.replayed == {f"key{i}": i for i in range(3000)}
+            assert journal.records_read == 3001
+            assert path.read_bytes() == intact
+            journal.record("key3000", "t3000", 3000)
+        with RunJournal(path, "long") as journal:
+            assert len(journal.replayed) == 3001
 
     def test_mid_file_garbage_rejected(self, tmp_path):
         path = self._write_journal(tmp_path, records=3)

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.control import ActuationLink, ChannelConfig
 from repro.engine.journal import RunJournal
@@ -31,7 +32,7 @@ from repro.service import (
 from repro.service.admission import ClassPolicy
 from repro.service.brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
 from repro.service import checkpoint
-from repro.service.checkpoint import service_wal_path
+from repro.service.checkpoint import SNAPSHOTS_KEPT, service_wal_path
 from repro.service.core import MAX_SURGE_FACTOR, MODES
 from repro.faults.timeline import FaultTimeline
 from repro.sim.kernel import Simulator
@@ -906,11 +907,43 @@ class TestServiceSnapshots:
         ]
         records = _records(tmp_path)
         snaps = sorted(key for key in records if key.startswith("snap:"))
-        assert snaps == ["snap:00000005", "snap:00000010", "snap:00000015"]
-        assert records["snap:00000015"]["signature"] == records["sig:00000015"]["signature"]
+        # Compaction at tick 15 dropped snap:00000005 and sig:00000015.
+        assert snaps == ["snap:00000010", "snap:00000015"]
+        assert records["snap:00000015"]["signature"] == _run_core(3, "robust", 15, {}).signature
         resumed = _resume(tmp_path, seed=3)
         assert (resumed.restored_tick, resumed.replayed_ticks) == (15, 17)
         assert resumed.core.signature == session.core.signature
+
+    def test_wal_holds_one_interval_however_long_the_run(self, tmp_path):
+        ops = {
+            3: {"op": "demand-surge", "factor": 2.0, "duration_s": 5.0},
+            12: {"op": "overclock", "enable": False},
+            26: {"op": "power-cap", "watts": 90.0},
+            33: {"op": "power-cap", "watts": None},
+        }
+        session = _journal(tmp_path, seed=3, ticks=33, ops=ops)
+        assert session.snapshots_written == 6
+        assert sorted(path.name for path in (tmp_path / "service").iterdir()) == [
+            "run.00000025.snap",
+            "run.00000030.snap",
+            "run.wal",
+        ]
+        records = _records(tmp_path)
+        assert sorted(records) == [
+            "meta",
+            *(f"op:{seq:08d}" for seq in range(1, 5)),
+            *(f"sig:{tick:08d}" for tick in range(31, 34)),
+            "snap:00000025",
+            "snap:00000030",
+        ]
+        assert [records[f"op:{seq:08d}"]["op"] for seq in range(1, 5)] == list(ops.values())
+        resumed = _resume(tmp_path, seed=3)
+        assert (resumed.restored_tick, resumed.replayed_ticks) == (30, 33)
+        # Every record plus the journal header, within the bound: one
+        # interval of sig records, every op, the kept snaps, meta, header.
+        assert resumed.records_read == len(records) + 1
+        assert resumed.records_read <= 5 + len(ops) + SNAPSHOTS_KEPT + 2
+        _same_state(resumed.core, _run_core(3, "robust", 33, ops))
 
     def test_close_takes_no_snapshot(self, tmp_path):
         session = _journal(tmp_path, seed=3, ticks=4)
@@ -971,3 +1004,110 @@ class TestServiceSnapshots:
         resumed = _resume(tmp_path, seed=3)
         assert (resumed.restored_tick, resumed.replayed_ticks) == (0, 11)
         assert resumed.core.signature == session.core.signature
+
+
+# ----------------------------------------------------------------------
+# A journaled session under ticks, ops and restarts, beside a twin
+# ----------------------------------------------------------------------
+def _unaccounted(core: ServiceCore) -> str | None:
+    """Request conservation as the benchmark checks it: describe the
+    first broken identity, or None."""
+    c = core.counters
+    decided = c.admitted + c.rejected_throttled + c.rejected_brownout
+    if c.offered != decided:
+        return f"offered {c.offered} != admitted + rejected {decided}"
+    settled = (
+        c.completed_ok
+        + c.completed_late
+        + c.shed_low_priority
+        + c.shed_expired
+        + c.shed_overflow
+        + c.lost_to_trips
+        + core.queue_depth
+        + core.in_flight
+    )
+    if c.admitted != settled:
+        return f"admitted {c.admitted} != settled + queued + in flight {settled}"
+    return None
+
+
+class ServiceSessionMachine(RuleBasedStateMachine):
+    """Ticks, valid and hostile ops, and close-and-resume on a journaled
+    session with a small snapshot interval, against an uninterrupted
+    twin core that sees the same ticks and accepted ops."""
+
+    @initialize(
+        seed=st.integers(min_value=0, max_value=50),
+        mode=st.sampled_from(MODES),
+        interval=st.integers(min_value=3, max_value=9),
+    )
+    def start(self, seed, mode, interval):
+        self.directory = tempfile.TemporaryDirectory()
+        self.interval_patch = mock.patch.object(checkpoint, "SNAPSHOT_INTERVAL_TICKS", interval)
+        self.interval_patch.start()
+        self.seed, self.mode, self.interval = seed, mode, interval
+        self.twin = ServiceCore(seed, mode=mode)
+        self.accepted: list[dict] = []
+        self.session = self._open()
+
+    def _open(self) -> ServiceSession:
+        session = ServiceSession(self.directory.name, "run", self.seed, mode=self.mode)
+        session.open()
+        return session
+
+    @rule(ticks=st.integers(min_value=1, max_value=9))
+    def tick(self, ticks):
+        for _ in range(ticks):
+            self.session.tick()
+            self.twin.tick()
+
+    @rule(op=_SNAPSHOT_OPS)
+    def apply_valid_op(self, op):
+        self.session.apply_op(dict(op))
+        self.twin.apply_op(dict(op))
+        self.accepted.append(op)
+
+    @rule(name=st.sampled_from(sorted(HOSTILE_OPS)))
+    def apply_hostile_op(self, name):
+        with pytest.raises(ConfigurationError):
+            self.session.apply_op(dict(HOSTILE_OPS[name]))
+
+    @rule()
+    def close_and_resume(self):
+        self.session.close()
+        self.session = self._open()
+        assert self.session.resumed
+        assert self.session.replayed_ticks == self.twin.tick_index
+        bound = self.interval + len(self.accepted) + SNAPSHOTS_KEPT + 2
+        assert self.session.records_read <= bound
+
+    @invariant()
+    def requests_are_conserved(self):
+        assert _unaccounted(self.session.core) is None
+
+    @invariant()
+    def core_matches_the_uninterrupted_twin(self):
+        assert self.session.core.snapshot() == self.twin.snapshot()
+
+    @invariant()
+    def wal_holds_every_op_and_one_interval(self):
+        records = _records(self.directory.name)
+        ops = [records[key]["op"] for key in sorted(records) if key.startswith("op:")]
+        assert ops == self.accepted  # and so no rejected op
+        snaps = sorted(records[key]["tick"] for key in records if key.startswith("snap:"))
+        sigs = [records[key]["tick"] for key in records if key.startswith("sig:")]
+        assert len(snaps) <= SNAPSHOTS_KEPT
+        assert len(sigs) <= self.interval
+        assert all(tick > max(snaps, default=0) for tick in sigs)
+
+    def teardown(self):
+        if hasattr(self, "session"):
+            self.session.close()
+            self.interval_patch.stop()
+            self.directory.cleanup()
+
+
+ServiceSessionMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=25, deadline=None, phases=_SHRINK_NO_EXPLAIN
+)
+TestServiceSessionMachine = ServiceSessionMachine.TestCase

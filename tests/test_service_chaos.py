@@ -132,7 +132,7 @@ class TestServiceSigkillResume:
             deadline = time.monotonic() + CHAOS_TIMEOUT_S
             while time.monotonic() < deadline:
                 if wal.exists() and b"snap:0" in wal.read_bytes():
-                    if list(wal.parent.glob(f"{run_id}.*.tmp")):
+                    if list(wal.parent.glob(f"{run_id}.*.snap.*.tmp")):
                         break
                 if child.poll() is not None:
                     pytest.fail("service run finished before it could be killed")
@@ -159,6 +159,57 @@ class TestServiceSigkillResume:
         assert resumed["signature"] == reference["signature"]
         # The resumed run's own snapshots pruned the torn file.
         assert not torn.exists()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sigkill_between_a_compaction_fsync_and_its_rename_resumes_bit_identically(
+        self, tmp_path, seed, monkeypatch
+    ):
+        """Kill the service while its first compacted WAL waits to be
+        renamed: the resume reads the old WAL, which already holds the
+        new snap record, ignores the temp file, and a later snapshot of
+        the resumed run deletes it."""
+        interval = 8
+        run_id = f"svc-compact-{seed}"
+        wal = service_wal_path(tmp_path, run_id)
+        child = _spawn_service(tmp_path, run_id, seed, str(interval), "compaction")
+        try:
+            deadline = time.monotonic() + CHAOS_TIMEOUT_S
+            while time.monotonic() < deadline:
+                temps = list(wal.parent.glob(f"{run_id}.wal.*.tmp"))
+                written = temps[0].read_bytes() if temps else b""
+                # Written through its last record, the op: the compaction
+                # is in (or past) its fsync and has not renamed the file.
+                if b"op:00000001" in written and written.endswith(b"\n"):
+                    break
+                if child.poll() is not None:
+                    pytest.fail("service run finished before it could be killed")
+                time.sleep(0.005)
+            else:
+                pytest.fail("service never started a compaction")
+            child.kill()
+            child.wait(timeout=CHAOS_TIMEOUT_S)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait(timeout=CHAOS_TIMEOUT_S)
+        (temp,) = wal.parent.glob(f"{run_id}.wal.*.tmp")
+        # The live WAL is still the old one: every tick's sig record,
+        # then the new snapshot's.
+        data = wal.read_bytes()
+        assert data.count(b"sig:0") == interval
+        assert b"snap:00000008" in data
+
+        monkeypatch.setattr(checkpoint, "SNAPSHOT_INTERVAL_TICKS", interval)
+        resumed = servicehelper.run_service(str(tmp_path), run_id, seed=seed, sleep_s=0.0)
+        assert resumed["resumed"] is True
+        assert (resumed["restored_tick"], resumed["replayed_ticks"]) == (interval, interval)
+        assert resumed["tick"] == servicehelper.TICKS
+        reference = servicehelper.run_service(
+            str(tmp_path), f"ref-{seed}", seed=seed, sleep_s=0.0
+        )
+        assert resumed["signature"] == reference["signature"]
+        # The resumed run's own snapshots pruned the temp file.
+        assert not temp.exists()
 
     def test_resume_with_wrong_seed_is_refused(self, tmp_path):
         """A WAL written for one seed must not resume another service."""

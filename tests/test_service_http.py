@@ -107,6 +107,7 @@ class TestEndpoints:
                 assert (status, body["status"]) == (200, "ready")
                 assert body["resumed"] is False
                 assert body["restored_tick"] == 0
+                assert body["records_read"] == 0
                 status, body, _ = await _request(host, port, "GET", "/telemetry")
                 assert status == 200
                 assert body["mode"] == "robust"
@@ -332,6 +333,8 @@ class TestServerRestart:
                 assert status == 200
                 assert body["resumed"] is True
                 assert body["restored_tick"] == 0  # fewer ticks than one snapshot
+                # The header, meta and one sig record per replayed tick.
+                assert body["records_read"] == server.session.replayed_ticks + 2
                 return server.session.replayed_ticks
             finally:
                 await server.stop()
