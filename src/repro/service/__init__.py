@@ -26,7 +26,9 @@ The robustness core is the overload-control stack:
 * :mod:`repro.service.checkpoint` — the fsync'd
   :class:`~repro.engine.journal.RunJournal`-backed service WAL that
   makes a SIGKILL'd server resume with bit-identical tick signatures;
-* :mod:`repro.service.server` — the asyncio HTTP shell.
+* :mod:`repro.service.server` — the asyncio HTTP shell, imported on
+  first use of ``ServiceServer`` or ``serve``: the core, the WAL and
+  the batch experiments never load asyncio.
 """
 
 from .admission import AdmissionController, PriorityClass, TokenBucket
@@ -34,7 +36,18 @@ from .backlog import BoundedDeadlineQueue, QueueDelayController, Request
 from .brownout import BrownoutConfig, BrownoutLadder, BrownoutStage
 from .checkpoint import ServiceSession, service_wal_path
 from .core import ServiceConfig, ServiceCore, TickSample
-from .server import ServiceServer, serve
+
+#: Names resolved from :mod:`repro.service.server` on first access.
+_SERVER_NAMES = ("ServiceServer", "serve")
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissionController",

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 from functools import partial
 import tempfile
 import warnings
@@ -624,6 +627,28 @@ class TestServiceCore:
         value = (bad, 0.5, 0.5) if field == "class_mix" else bad
         with pytest.raises(ConfigurationError):
             ServiceConfig(**{field: value})
+
+
+def test_only_the_http_shell_loads_asyncio():
+    """The core, the WAL and the batch experiments leave asyncio
+    unloaded; ``repro.service`` imports the server on first use."""
+    code = "\n".join(
+        [
+            "import sys",
+            "import repro.service.checkpoint, repro.experiments.overload_storm",
+            "assert 'asyncio' not in sys.modules, 'asyncio loaded without the server'",
+            "from repro.service import ServiceServer",
+            "assert 'asyncio' in sys.modules, 'the server did not load'",
+        ]
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 class TestServiceSession:
