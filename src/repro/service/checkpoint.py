@@ -69,7 +69,7 @@ import sys
 import warnings
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 from ..engine.journal import RunJournal, fsync_directory, write_journal
 from ..errors import JournalError
@@ -120,8 +120,8 @@ def write_compacted_wal(
     temp: Path, run_id: str, records: Iterable[tuple[str, str, object]]
 ) -> None:
     """Write a fresh WAL of run ``run_id`` holding only ``records`` to
-    ``temp`` and fsync it; :meth:`ServiceSession.tick` then renames it
-    over the live WAL."""
+    ``temp`` and fsync it; the session then renames it over the live
+    WAL."""
     try:
         with open(temp, "wb") as handle:
             write_journal(handle, run_id, records)
@@ -499,18 +499,17 @@ class ServiceSession:
         self._compact()
         self._prune_side_files()
 
-    def _carried_records(self) -> Iterator[tuple[str, str, dict]]:
-        yield "meta", "meta", self._meta
-        for snap in self._snapshots:
-            yield _snap_record(snap)
-        for op in self._ops:
-            yield _op_record(op)
-
     def _compact(self) -> None:
-        """Replace the WAL with one holding only the carried records,
-        and journal on from there."""
+        """Replace the WAL with one holding only the ``meta`` record,
+        the kept ``snap`` records and every ``op`` record, and journal on
+        from there."""
+        records = [
+            ("meta", "meta", self._meta),
+            *map(_snap_record, self._snapshots),
+            *map(_op_record, self._ops),
+        ]
         temp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        write_compacted_wal(temp, self.run_id, self._carried_records())
+        write_compacted_wal(temp, self.run_id, records)
         os.replace(temp, self.path)
         fsync_directory(self.path.parent)
         self._journal.close()

@@ -1126,9 +1126,12 @@ class ServiceSessionMachine(RuleBasedStateMachine):
         assert all(tick > max(snaps, default=0) for tick in sigs)
 
     def teardown(self):
+        # Undo as much of ``start`` as ran.
         if hasattr(self, "session"):
             self.session.close()
+        if hasattr(self, "interval_patch"):
             self.interval_patch.stop()
+        if hasattr(self, "directory"):
             self.directory.cleanup()
 
 
