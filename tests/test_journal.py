@@ -193,6 +193,22 @@ class TestChainValidation:
         with RunJournal(path, "fresh") as journal:
             assert journal.replayed == {"k": 1}
 
+    def test_final_record_without_its_newline_is_the_torn_tail(self, tmp_path):
+        """A last record that lost its newline never finished its write,
+        so its fsync never returned: it is dropped even though it parses,
+        and the records appended after it are kept."""
+        path = self._write_journal(tmp_path, records=2)
+        path.write_bytes(path.read_bytes()[:-1])
+        with RunJournal(path, "chained") as journal:
+            assert set(journal.replayed) == {"key0"}
+            assert journal.records_read == 2
+            journal.record("key2", "t2", 2)
+        with RunJournal(path, "chained") as journal:
+            assert set(journal.replayed) == {"key0", "key2"}
+            journal.record("key3", "t3", 3)
+        with RunJournal(path, "chained") as journal:
+            assert set(journal.replayed) == {"key0", "key2", "key3"}
+
 
 class TestEngineIntegration:
     def test_journal_replays_across_engine_runs(self, tmp_path):
