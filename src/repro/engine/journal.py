@@ -15,8 +15,9 @@ across a *hard* process kill:
 * records are **sha256-chained**: each record's digest covers the
   previous record's digest plus its own payload, so replay detects
   truncation in the middle, reordering, and tampering. A torn *final*
-  line (the crash happened mid-append) is expected damage and is
-  dropped; anything else raises :class:`~repro.errors.JournalError`.
+  line (the crash happened mid-append: the line lacks its newline,
+  whether or not it parses) is expected damage and is dropped; anything
+  else raises :class:`~repro.errors.JournalError`.
 
 Because records are keyed by content digest — which already covers the
 function, the fully resolved parameters (including engine-split seeds),
@@ -175,14 +176,18 @@ class RunJournal:
             while following is not None:
                 line, following = following, next(lines, None)
                 index += 1
-                # A crash mid-append leaves a torn final line: a line
-                # that fails to parse is dropped as that tail if it is
-                # the last, or the last complete one before a torn
-                # fragment (the only line without a newline).
+                # A crash mid-append leaves a torn final line, the only
+                # one without its newline. Its write never finished, so
+                # its fsync never returned and no caller was told it is
+                # durable: it is dropped even if it parses. A line that
+                # fails to parse is dropped too if it is the last, or
+                # the last complete one before that fragment.
+                if not line.endswith(b"\n"):
+                    break
                 tail = following is None or not following.endswith(b"\n")
-                if line.endswith(b"\n"):
-                    line = line[:-1]
+                line = line[:-1]
                 if not line:
+                    valid_bytes += 1
                     continue
                 try:
                     record = json.loads(line)

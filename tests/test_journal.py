@@ -209,6 +209,18 @@ class TestChainValidation:
         with RunJournal(path, "chained") as journal:
             assert set(journal.replayed) == {"key0", "key2", "key3"}
 
+    def test_blank_line_is_skipped_without_truncating(self, tmp_path):
+        path = self._write_journal(tmp_path, records=2)
+        lines = path.read_bytes().split(b"\n")
+        spaced = b"\n".join(lines[:2]) + b"\n\n" + b"\n".join(lines[2:])
+        path.write_bytes(spaced)
+        with RunJournal(path, "chained") as journal:
+            assert set(journal.replayed) == {"key0", "key1"}
+            assert path.read_bytes() == spaced
+            journal.record("key2", "t2", 2)
+        with RunJournal(path, "chained") as journal:
+            assert set(journal.replayed) == {"key0", "key1", "key2"}
+
 
 class TestEngineIntegration:
     def test_journal_replays_across_engine_runs(self, tmp_path):
