@@ -105,8 +105,10 @@ def run_storm_mode(
     storm_ticks: int = STORM_TICKS,
 ) -> StormRunResult:
     """One fleet through the storm — a pure function of its arguments."""
-    core = ServiceCore(seed=seed, mode=mode)
-    cfg: ServiceConfig = core.config
+    # Latencies of every tick stay in the window, so the storm window's
+    # and the whole run's statistics are exact.
+    cfg = ServiceConfig(history_ticks=max(1, warm_ticks + storm_ticks))
+    core = ServiceCore(seed=seed, config=cfg, mode=mode)
     max_brownout = 0
     max_emergency = 0
 

@@ -54,7 +54,7 @@ from ..silicon.configs import config_by_name
 from ..sim.kernel import Simulator
 from ..sim.random import split_seed
 from ..telemetry.counters import HealthCounters, ServiceCounters
-from ..telemetry.percentiles import LatencyRecorder
+from ..telemetry.percentiles import LatencyWindow
 from ..thermal.fluids import FC_3284
 from ..thermal.transient import TankFluidRC
 from ..workloads.diurnal import ArrivalProcess, DiurnalTrace
@@ -179,7 +179,8 @@ class ServiceConfig:
     sdc_faulty_hosts: tuple[str, ...] = ()
     sdc_corruption_per_request: float = 0.0
 
-    # Telemetry.
+    # Telemetry. ``history_ticks`` is how many of the last ticks keep
+    # their per-tick sample and their request latencies.
     warmup_s: float = 5.0
     history_ticks: int = 512
 
@@ -277,8 +278,8 @@ class ServiceCore:
         self._sim = Simulator(seed=seed)
         self.timeline = FaultTimeline()
         self.counters = ServiceCounters()
-        self.latency = LatencyRecorder(
-            name=f"service:{mode}", drop_warmup_before=cfg.warmup_s
+        self.latency = LatencyWindow(
+            cfg.history_ticks, name=f"service:{mode}", drop_warmup_before=cfg.warmup_s
         )
 
         # Duplicate-execution SDC audit (None unless configured, so the
@@ -619,6 +620,7 @@ class ServiceCore:
 
         sample = self._make_sample(now, signal, margin)
         self.history.append(sample)
+        self.latency.close_tick()
         return sample
 
     def run_ticks(self, count: int) -> TickSample:

@@ -20,7 +20,7 @@ from .export import (
 )
 from .histogram import LogHistogram
 from .metrics import Sample, StateIntegrator, Stopwatch, TimeSeries
-from .percentiles import LatencyRecorder, percentile
+from .percentiles import LatencyRecorder, LatencyWindow, percentile
 from .power_meter import PowerMeter
 from .sensors import (
     FaultySensor,
@@ -61,6 +61,7 @@ __all__ = [
     "Stopwatch",
     "TimeSeries",
     "LatencyRecorder",
+    "LatencyWindow",
     "percentile",
     "PowerMeter",
 ]

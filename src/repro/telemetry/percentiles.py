@@ -21,15 +21,20 @@ buffer) allocates about 1 MB at its peak, all-equal samples included,
 and runs faster than ``np.percentile`` (see ``docs/architecture.md``).
 
 While a view is alive the buffer cannot grow, so no view may outlive
-the statistic that took it (see :meth:`LatencyRecorder._data`). Growth
-stays unbounded; a bounded alternative with approximate quantiles is
-:class:`~repro.telemetry.histogram.LogHistogram`.
+the statistic that took it (see :meth:`LatencyRecorder._data`). A
+:class:`LatencyRecorder` keeps every sample for its whole life, as an
+experiment's statistics over its whole run need. A process that never
+stops uses :class:`LatencyWindow`, which keeps the samples of its last
+``ticks`` ticks and stays exact over exactly them: its buffer holds at
+most twice the window's samples. A bounded alternative with approximate
+quantiles is :class:`~repro.telemetry.histogram.LogHistogram`.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -324,7 +329,7 @@ class LatencyRecorder:
         ``start`` up to ``stop`` (slice bounds; every sample by default),
         read in place."""
         _check_q(q)
-        window = range(len(self._latencies))[start:stop]
+        window = range(len(self))[start:stop]
         if not window:
             raise ConfigurationError(
                 f"no latency samples recorded for {self.name!r} in [{start}:{stop}]"
@@ -358,4 +363,61 @@ class LatencyRecorder:
         }
 
 
-__all__ = ["LatencyRecorder", "percentile"]
+class LatencyWindow(LatencyRecorder):
+    """A :class:`LatencyRecorder` over the samples of its last ``ticks``
+    ticks only.
+
+    Its owner calls :meth:`close_tick` at the end of every tick. ``len``,
+    :attr:`samples`, every statistic and the indices :meth:`percentile`
+    takes then cover exactly the samples recorded in the last ``ticks``
+    closed ticks and the open one. Recording is the inherited
+    :meth:`LatencyRecorder.record`, so warm-up samples are still dropped
+    as they arrive.
+
+    The samples of older ticks stay in the buffer until they fill half of
+    it, and are then dropped in one cut. A cut moves no more samples
+    than it drops, and each sample is dropped once, so trimming costs
+    amortized O(1) per sample; the buffer never holds more than twice
+    the window's samples.
+    """
+
+    def __init__(self, ticks: int, name: str = "", drop_warmup_before: float = 0.0) -> None:
+        if ticks < 1:
+            raise ConfigurationError(f"a latency window must keep at least one tick, got {ticks}")
+        super().__init__(name, drop_warmup_before)
+        #: Where each tick in the window began, the open one last, counted
+        #: in samples ever recorded.
+        self._starts: deque[int] = deque([0], maxlen=ticks + 1)
+        #: Samples cut from the front of the buffer so far.
+        self._trimmed = 0
+
+    def _start(self) -> int:
+        """The buffer index of the window's first sample."""
+        return self._starts[0] - self._trimmed
+
+    def __len__(self) -> int:
+        return len(self._latencies) - self._start()
+
+    @property
+    def samples(self) -> Sequence[float]:
+        return tuple(self._latencies[self._start() :])
+
+    def _data(self) -> np.ndarray:
+        """The window's samples, a view of the buffer (the same rules as
+        :meth:`LatencyRecorder._data`)."""
+        start = self._start()
+        if start == len(self._latencies):
+            raise ConfigurationError(f"no latency samples in the window of {self.name!r}")
+        return np.asarray(self._latencies, dtype=float)[start:]
+
+    def close_tick(self) -> None:
+        """End the open tick: the oldest tick leaves a full window, and
+        the samples outside it are cut once they are half the buffer."""
+        self._starts.append(self._trimmed + len(self._latencies))
+        expired = self._start()
+        if expired and 2 * expired >= len(self._latencies):
+            del self._latencies[:expired]
+            self._trimmed += expired
+
+
+__all__ = ["LatencyRecorder", "LatencyWindow", "percentile"]

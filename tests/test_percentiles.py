@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.telemetry import LatencyRecorder, percentile
+from repro.telemetry import LatencyRecorder, LatencyWindow, percentile
 from repro.telemetry import percentiles as percentiles_module
 
 #: Samples per pass of the percentile routine: sizes are drawn around
@@ -203,3 +203,49 @@ def test_window_percentile_reads_the_slice_and_leaves_no_view():
         recorder.percentile(101.0)
     recorder.record(1.0, 1.0)
     assert len(recorder) == 3 * CHUNK + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ticks=st.integers(1, 6),
+    recorded=st.lists(st.lists(st.floats(0.0, 1e3), max_size=12), min_size=1, max_size=30),
+    window=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    chunk=st.sampled_from((3, CHUNK)),
+)
+def test_latency_window_holds_exactly_its_last_ticks(ticks, recorded, window, chunk):
+    """Tick by tick, the window reads as a recorder holding only the
+    samples of its last ``ticks`` closed ticks, and its buffer holds at
+    most twice those."""
+    recorder = LatencyWindow(ticks, "window")
+    closed: list[list[float]] = []
+    for values in recorded:
+        recorder.extend(values)
+        recorder.close_tick()
+        closed.append(values)
+        kept = [value for values in closed[-ticks:] for value in values]
+        assert recorder.samples == tuple(kept)
+        assert len(recorder) == len(kept)
+        assert len(recorder._latencies) <= 2 * len(kept)
+    data = np.asarray(kept)
+    if not kept:
+        with pytest.raises(ConfigurationError, match="no latency samples"):
+            recorder.summary()
+        return
+    with mock.patch.object(percentiles_module, "_CHUNK", chunk):
+        summary = recorder.summary()
+        start, stop = sorted(round(edge * data.size) for edge in window)
+        if stop > start:
+            got = recorder.percentile(99.0, start, stop)
+            assert repr(got) == repr(float(np.percentile(data[start:stop], 99.0)))
+    assert summary["count"] == data.size
+    assert repr(summary["mean"]) == repr(float(np.mean(data)))
+    for key, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
+        assert repr(summary[key]) == repr(float(np.percentile(data, q)))
+    # Fails with BufferError if a statistic left a view of the buffer alive.
+    recorder.record(1.0, 1.0)
+    recorder.close_tick()
+
+
+def test_latency_window_keeps_at_least_one_tick():
+    with pytest.raises(ConfigurationError, match="at least one tick"):
+        LatencyWindow(0)

@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -871,6 +872,48 @@ def test_core_pickles_at_any_boundary_and_continues_bit_identically(seed, mode, 
     # moving them, so the pickled core continues as its clone does.
     assert [clone.tick().signature for _ in range(20)] == expected
     assert [core.tick().signature for _ in range(20)] == expected
+
+
+@settings(max_examples=25, deadline=None, phases=_SHRINK_NO_EXPLAIN)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    mode=st.sampled_from(MODES),
+    history=st.integers(min_value=4, max_value=16),
+    ticks=st.integers(min_value=1, max_value=60),
+    surge_at=st.integers(min_value=0, max_value=60),
+    factor=st.floats(min_value=1.0, max_value=MAX_SURGE_FACTOR),
+)
+def test_latency_summary_is_exact_over_the_last_history_ticks(
+    seed, mode, history, ticks, surge_at, factor
+):
+    """The live summary equals numpy over exactly the samples an
+    untrimmed twin recorded in the last ``history_ticks`` ticks, and the
+    window's buffer never holds more than twice those samples."""
+    core = ServiceCore(seed, ServiceConfig(history_ticks=history), mode=mode)
+    twin = ServiceCore(seed, ServiceConfig(history_ticks=60), mode=mode)
+    surge = {"op": "demand-surge", "factor": factor, "duration_s": 5.0}
+    ends = [0]  # the twin's sample count at the end of each tick
+    for boundary in range(ticks):
+        if boundary == surge_at:
+            core.apply_op(dict(surge))
+            twin.apply_op(dict(surge))
+        core.tick()
+        twin.tick()
+        ends.append(len(twin.latency))
+        window = ends[-1] - ends[max(0, len(ends) - 1 - history)]
+        assert len(core.latency) == window
+        assert len(core.latency._latencies) <= 2 * window
+    assert core.signature == twin.signature
+    expected = np.asarray(twin.latency.samples[ends[max(0, ticks - history)] :])
+    summary = core.snapshot()["latency"]
+    if not expected.size:
+        assert summary is None
+        return
+    p50, p95, p99 = np.percentile(expected, (50.0, 95.0, 99.0))
+    want = {"count": expected.size, "mean": np.mean(expected), "p50": p50, "p95": p95, "p99": p99}
+    assert {key: repr(value) for key, value in summary.items()} == {
+        key: repr(float(value)) for key, value in want.items()
+    }
 
 
 def _lossy_control_plane(seed: int):
