@@ -193,9 +193,10 @@ bench-check:
 # WAL soak (~1 min): serve 20,000 unpaced ticks through `python -m repro
 # serve` into a temporary cache directory, then resume the run in-process
 # (tests/walsoak.py). Fails unless WAL compaction left one WAL file and at
-# most SNAPSHOTS_KEPT snapshots, and the resume read at most one snapshot
-# interval of records: 1,024 sig records plus the ops, the kept snap
-# records, meta and the journal header.
+# most SNAPSHOTS_KEPT snapshots, the resume read at most one snapshot
+# interval of records (1,024 sig records plus the ops, the kept snap
+# records, meta and the journal header), and the newest snapshot is at
+# most twice the size of a fresh core's at tick 1,024.
 wal-soak:
 	@dir="$$(mktemp -d)"; \
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro serve --seed 3 --run soak --port 0 \
