@@ -1154,6 +1154,13 @@ class ServiceSessionMachine(RuleBasedStateMachine):
         assert _unaccounted(self.session.core) is None
 
     @invariant()
+    def backlog_and_fleet_stay_within_their_bounds(self):
+        core = self.session.core
+        assert core.queue_depth <= core.config.queue_capacity
+        if self.mode == "robust":  # naive mode dispatches every arrival
+            assert core.in_flight <= core.config.max_in_flight
+
+    @invariant()
     def core_matches_the_uninterrupted_twin(self):
         assert self.session.core.snapshot() == self.twin.snapshot()
 
