@@ -107,7 +107,7 @@ def run_storm_mode(
     """One fleet through the storm — a pure function of its arguments."""
     # Latencies of every tick stay in the window, so the storm window's
     # and the whole run's statistics are exact.
-    cfg = ServiceConfig(history_ticks=max(1, warm_ticks + storm_ticks))
+    cfg = ServiceConfig(history_ticks=warm_ticks + storm_ticks)
     core = ServiceCore(seed=seed, config=cfg, mode=mode)
     max_brownout = 0
     max_emergency = 0
