@@ -560,6 +560,27 @@ class TestServiceCore:
         with pytest.raises(ConfigurationError):
             core.apply_op({"op": "vm-crash", "host": "h9"})
 
+    def test_robust_mode_trips_a_host_at_tjmax(self):
+        # A condenser derated below what the emergency ladder's last
+        # rung can survive: the hardware trip, which both modes have,
+        # must keep every live host below Tjmax.
+        core = ServiceCore(seed=3)
+        core.run_ticks(100)
+        core.apply_op({"op": "thermal-excursion", "derate": 0.05, "duration_s": 200.0})
+        tjmax = core.config.tjmax_c
+        hot_ticks = 0
+        for _ in range(1000):
+            core.tick()
+            hot_ticks += any(
+                not host.failed and core._tj_by_host.get(host.host_id, -math.inf) >= tjmax
+                for host in core._hosts
+            )
+        assert hot_ticks == 0
+        assert any(
+            event.kind == "host-failure" and event.detail.startswith("tj-trip")
+            for event in core.timeline
+        )
+
     def test_unknown_op_rejected(self):
         core = ServiceCore(seed=1)
         with pytest.raises(ConfigurationError):
