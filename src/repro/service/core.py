@@ -8,7 +8,9 @@ happen; this module decides — bit-reproducibly — what each tick does:
 1. apply any operator ops queued since the last tick;
 2. draw this tick's arrivals from the diurnal trace and feed them
    through admission → bounded deadline queue → processor-sharing fleet;
-3. integrate the shared tank's thermals from the fleet's power draw;
+3. integrate the shared tank's thermals from the fleet's power draw,
+   and trip any host at or above Tjmax (the hardware protection, in
+   both modes);
 4. run the control ladders: the CoDel-style delay signal drives the
    brownout ladder, the worst junction margin drives the thermal
    emergency ladder, and the two compose through the boost gate
@@ -23,7 +25,9 @@ SIGKILL.
 
 Two modes share every line of workload and physics:
 
-* ``robust`` — the full overload stack described above;
+* ``robust`` — the full overload stack described above: the ladders
+  hold the fleet below Tjmax, and the hardware trip catches what they
+  cannot (a condenser derated below what the last rung survives);
 * ``naive`` — no admission, no queue bounds, no deadline shedding, no
   ladders: every request is dispatched on arrival, overclock is never
   revoked, and the only thermal protection is the hardware trip at
@@ -605,6 +609,7 @@ class ServiceCore:
         if self._brownout is not None:
             self._brownout.observe(now, self._brownout.headroom(signal))
         margin = self._update_thermal(now)
+        self._check_trips(now)
         if self.mode == "robust":
             assert self._emergency is not None and self._link is not None
             assert self.safety is not None
@@ -614,8 +619,6 @@ class ServiceCore:
             self._enforce_caps()
             self._link.heartbeat()
             self._drain()
-        else:
-            self._check_trips(now)
         self._sync_counters()
 
         sample = self._make_sample(now, signal, margin)
@@ -792,7 +795,8 @@ class ServiceCore:
         return min(cfg.tjmax_c - tj for tj in self._tj_by_host.values())
 
     def _check_trips(self, now: float) -> None:
-        """Naive mode's only thermal protection: the hardware Tjmax trip."""
+        """The hardware Tjmax trip, in both modes (naive mode's only
+        thermal protection, robust mode's last one behind the ladders)."""
         for index, host in enumerate(self._hosts):
             if host.failed:
                 continue
