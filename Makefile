@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-smoke bench-test bench-check paper-check example-autoscaling wal-soak clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout golden lint bench bench-test bench-check paper-check example-autoscaling wal-soak clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -132,13 +132,11 @@ lint:
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q --benchmark-only
 
-# Regenerate the paper tables under benchmarks/results/ (~3 min) and fail
-# if a committed table changed or a new file appeared there, so a change
-# that moves a table cannot land silently. perf_engine.txt and
-# perf_health.txt hold timings; --benchmark-only skips the two tests that
-# write them, so they are never rewritten here.
-paper-check:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q --benchmark-only
+# Regenerate the paper tables under benchmarks/results/ through the bench
+# target (~3 min) and fail if a committed table changed or a new file
+# appeared there, so a change that moves a table cannot land silently.
+# Every file there is a table that bench rewrites.
+paper-check: bench
 	git diff --exit-code -- benchmarks/results
 	@untracked="$$(git ls-files --others --exclude-standard -- benchmarks/results)"; \
 	if [ -n "$$untracked" ]; then \
@@ -151,15 +149,6 @@ paper-check:
 # exit.
 example-autoscaling:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/autoscaling_demo.py
-
-# Perf microbenchmarks that finish in well under 30 s: the sweep
-# engine on a tiny grid (serial == parallel == cached output) and the
-# health changepoint detectors (CUSUM vs EWMA throughput; emits
-# BENCH_health.json). The end-to-end benchmark is `python3 bench/run.py`.
-bench-smoke:
-	REPRO_BENCH_SMOKE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
-		benchmarks/test_perf_engine.py benchmarks/test_perf_health.py \
-		-q -m perf
 
 # The end-to-end benchmark harness's own tests (~40 s): the pinned
 # workload digests, the sliced ramp and its traced twin, and the

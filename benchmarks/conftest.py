@@ -8,37 +8,29 @@ under ``benchmarks/results/`` so a plain ``pytest benchmarks/
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
 def bench_engine():
     """A sweep engine for benchmark drivers.
 
-    Width comes from ``REPRO_BENCH_WORKERS`` (default: all usable cores,
-    capped at 4). Caching is off — benchmarks measure real execution.
-    Engine results are bit-for-bit independent of worker count, so the
-    reproduced tables are identical at any width.
+    Width is every usable core, capped at 4. Caching is off — benchmarks
+    measure real execution. Engine results are bit-for-bit independent
+    of worker count, so the reproduced tables are identical at any width.
     """
     from repro.engine import SweepEngine
 
-    configured = os.environ.get("REPRO_BENCH_WORKERS")
-    if configured is not None:
-        workers = max(1, int(configured))
-    else:
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cores = os.cpu_count() or 1
-        workers = min(4, cores)
-    return SweepEngine(max_workers=workers)
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return SweepEngine(max_workers=min(4, cores))
 
 
 @pytest.fixture
@@ -51,21 +43,3 @@ def emit():
         print(f"\n{text}\n")
 
     return _emit
-
-
-@pytest.fixture
-def emit_json():
-    """Persist a machine-readable benchmark record at the repo root.
-
-    ``make bench-smoke`` (and the full ``make bench``) leave a
-    ``BENCH_<name>.json`` next to the Makefile so CI and tooling can
-    diff headline numbers across commits without parsing the human
-    tables under ``benchmarks/results/``.
-    """
-
-    def _emit_json(name: str, record: dict) -> None:
-        path = REPO_ROOT / f"BENCH_{name}.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"\n[bench] wrote {path}\n")
-
-    return _emit_json
