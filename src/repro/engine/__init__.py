@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = _lazy(
     {
         "cache": ("DEFAULT_CACHE_DIR", "ResultCache", "canonicalize", "content_key"),
         "chaos": ("make_faulty",),
-        "core": ("AUTO_SERIAL_THRESHOLD_S", "EngineStats", "RunReport", "SweepEngine", "SweepTask"),
+        "core": ("EngineStats", "RunReport", "SweepEngine", "SweepTask"),
         "journal": ("RunJournal", "journal_path"),
     },
 )

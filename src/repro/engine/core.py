@@ -21,12 +21,11 @@ runs. :class:`SweepEngine` is the one place that executes such sets:
 * **Crash recovery.** A worker dying mid-sweep (OOM kill, segfault,
   injected chaos) breaks the whole :class:`ProcessPoolExecutor`; the
   engine harvests every completed future, re-spawns the pool, and
-  re-submits only the unfinished tasks, backing off between rounds.
-  After ``max_pool_failures`` consecutive broken pools the stragglers
-  run serially in-process (or an :class:`~repro.errors.EngineError` is
-  raised when ``serial_fallback=False``). Because task seeds derive
-  from content, not scheduling, a recovered run is bit-for-bit
-  identical to an undisturbed one.
+  re-submits only the unfinished tasks, backing off between rounds per
+  its :class:`~repro.control.retry.RetryPolicy`. After the policy's
+  ``max_attempts`` consecutive broken pools the stragglers run serially
+  in-process. Because task seeds derive from content, not scheduling, a
+  recovered run is bit-for-bit identical to an undisturbed one.
 * **Timeouts.** ``task_timeout_s`` bounds each task's wall time; a hung
   worker is terminated and the run fails fast with an
   :class:`~repro.errors.EngineError` instead of blocking forever.
@@ -42,24 +41,17 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from ..control.retry import RetryPolicy
+from ..control.retry import ENGINE_POOL_RETRIES, RetryPolicy
 from ..errors import EngineError
 from ..sim.random import split_seed
-from ..telemetry.histogram import LogHistogram
-from ..telemetry.metrics import Stopwatch
 from .cache import ResultCache, content_key
 from .journal import RunJournal
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
-
-#: Recommended ``auto_serial_threshold_s``: below ~20 ms/task the
-#: process pool's dispatch overhead (pickling, IPC, worker warm-up)
-#: rivals the work itself, and serial in-process execution wins.
-AUTO_SERIAL_THRESHOLD_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -98,7 +90,6 @@ class RunReport:
     cache_misses: int = 0
     parallel_tasks: int = 0
     serial_tasks: int = 0
-    workers: int = 1
     wall_seconds: float = 0.0
     #: Process pools that broke under this run (worker death).
     worker_failures: int = 0
@@ -110,42 +101,6 @@ class RunReport:
     journal_hits: int = 0
     #: Points durably appended to the journal this run.
     journal_records: int = 0
-    #: True when the dispatch-overhead probe demoted the run to serial.
-    auto_serial: bool = False
-    #: Wall seconds of the probe task (None when no probe ran).
-    probe_seconds: float | None = None
-    #: Per-task execution time distribution (seconds).
-    task_seconds: LogHistogram = field(
-        default_factory=lambda: LogHistogram(min_value=1e-6, max_value=86_400.0)
-    )
-    stages: Stopwatch = field(default_factory=Stopwatch)
-
-    def describe(self) -> str:
-        parts = [
-            f"{self.tasks} task(s)",
-            f"{self.executed} executed",
-            f"{self.cache_hits} cache hit(s)",
-            f"{self.parallel_tasks} parallel / {self.serial_tasks} serial",
-            f"{self.workers} worker(s)",
-            f"{self.wall_seconds:.3f}s wall",
-        ]
-        if self.worker_failures:
-            parts.append(
-                f"{self.worker_failures} pool failure(s) / {self.retries} retried"
-            )
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timeout(s)")
-        if self.journal_hits or self.journal_records:
-            parts.append(
-                f"{self.journal_hits} journal replay(s) / "
-                f"{self.journal_records} journaled"
-            )
-        if self.auto_serial and self.probe_seconds is not None:
-            parts.append(
-                f"auto-serial (probe {self.probe_seconds * 1e3:.1f} ms "
-                "under threshold)"
-            )
-        return ", ".join(parts)
 
 
 @dataclass
@@ -182,17 +137,6 @@ class EngineStats:
         self.journal_records += report.journal_records
 
 
-def _invoke(fn: Callable[..., Any], params: dict[str, Any]) -> tuple[Any, float]:
-    """Run one task, returning ``(result, seconds)``.
-
-    Module-level so the process pool can pickle it; the per-task timing
-    is measured inside the worker and folded into the parent's report.
-    """
-    start = time.perf_counter()
-    result = fn(**params)
-    return result, time.perf_counter() - start
-
-
 def _is_picklable(payload: Any) -> bool:
     try:
         pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -217,32 +161,12 @@ class SweepEngine:
         task that exceeds the bound gets its worker terminated and the
         run raises :class:`~repro.errors.EngineError` — a hung
         simulation is a bug to surface, not a condition to retry.
-    max_pool_failures:
-        Consecutive broken pools tolerated before giving up on
-        parallelism for the remaining tasks.
-    retry_backoff_s:
-        Base delay between pool re-spawns; round ``n`` backs off per
-        the retry policy's schedule.
     retry_policy:
         A :class:`~repro.control.retry.RetryPolicy` governing pool
         re-spawns — the same shared policy type the command bus uses.
-        ``None`` (default) derives one from ``max_pool_failures`` and
-        ``retry_backoff_s``; passing a policy explicitly overrides
-        both.
-    serial_fallback:
-        After ``max_pool_failures`` broken pools, finish the remaining
-        tasks serially in-process (default) instead of raising.
-    auto_serial_threshold_s:
-        When positive, the engine *probes* dispatch overhead before
-        fanning out: the first parallelizable task runs in-process,
-        and if it finishes faster than this threshold the remaining
-        tasks are demoted to the serial path — a pool whose per-task
-        IPC overhead rivals the work itself only slows the sweep down.
-        ``0`` (default) disables the probe; :data:`AUTO_SERIAL_THRESHOLD_S`
-        is the recommended value. The decision is visible as
-        ``RunReport.auto_serial`` / ``RunReport.probe_seconds``, and
-        results are bit-identical either way (task seeds derive from
-        content, never from scheduling).
+        After ``max_attempts`` consecutive broken pools the remaining
+        tasks finish serially in-process; round ``n`` backs off by
+        ``backoff_s(n)`` before re-spawning.
     journal:
         An open :class:`~repro.engine.journal.RunJournal`. Every
         completed (cacheable) point is durably appended as it finishes,
@@ -255,12 +179,8 @@ class SweepEngine:
         max_workers: int | None = 1,
         cache: ResultCache | None = None,
         task_timeout_s: float | None = None,
-        max_pool_failures: int = 3,
-        retry_backoff_s: float = 0.05,
-        retry_policy: RetryPolicy | None = None,
-        serial_fallback: bool = True,
+        retry_policy: RetryPolicy = ENGINE_POOL_RETRIES,
         journal: RunJournal | None = None,
-        auto_serial_threshold_s: float = 0.0,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
@@ -268,32 +188,11 @@ class SweepEngine:
             raise EngineError("max_workers must be at least 1")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise EngineError("task_timeout_s must be positive (or None)")
-        if max_pool_failures < 1:
-            raise EngineError("max_pool_failures must be at least 1")
-        if retry_backoff_s < 0:
-            raise EngineError("retry_backoff_s cannot be negative")
-        if auto_serial_threshold_s < 0:
-            raise EngineError("auto_serial_threshold_s cannot be negative")
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_attempts=max_pool_failures,
-                base_delay_s=retry_backoff_s,
-                max_delay_s=max(30.0, retry_backoff_s),
-            )
-        else:
-            # An explicit policy is the single source of truth; mirror
-            # it into the legacy attributes so report consumers agree.
-            max_pool_failures = retry_policy.max_attempts
-            retry_backoff_s = retry_policy.base_delay_s
         self.max_workers = max_workers
         self.cache = cache
         self.task_timeout_s = task_timeout_s
-        self.max_pool_failures = max_pool_failures
-        self.retry_backoff_s = retry_backoff_s
         self.retry_policy = retry_policy
-        self.serial_fallback = serial_fallback
         self.journal = journal
-        self.auto_serial_threshold_s = auto_serial_threshold_s
         self.stats = EngineStats()
         self.last_report: RunReport | None = None
         #: task.key -> content digest of the current run (journal keying).
@@ -318,48 +217,46 @@ class SweepEngine:
             duplicates = sorted({key for key in keys if keys.count(key) > 1})
             raise EngineError(f"duplicate task keys: {', '.join(duplicates)}")
 
-        report = RunReport(tasks=len(tasks), workers=self.max_workers)
+        report = RunReport(tasks=len(tasks))
         started = time.perf_counter()
         results: dict[str, Any] = {}
         pending: list[tuple[SweepTask, dict[str, Any], str | None]] = []
         self._active_keys = {}
 
-        with report.stages.time("cache-probe"):
-            for task in tasks:
-                params = task.resolved_params(master_seed)
-                key = None
-                if (self.cache is not None or self.journal is not None) and task.cacheable:
-                    key = content_key(task.fn, params)
-                self._active_keys[task.key] = key
-                # The journal is the campaign's own completed work; it
-                # outranks the shared cache on resume.
-                if self.journal is not None and key is not None:
-                    if key in self.journal.replayed:
-                        report.journal_hits += 1
-                        results[task.key] = self.journal.replayed[key]
-                        continue
-                if self.cache is not None and key is not None:
-                    hit, value = self.cache.load(key)
-                    if hit:
-                        report.cache_hits += 1
-                        results[task.key] = value
-                        # Journal cache hits too: the WAL must be able to
-                        # resume the campaign even without the cache.
-                        if self.journal is not None:
-                            self.journal.record(key, task.key, value)
-                            report.journal_records += 1
-                        continue
-                    report.cache_misses += 1
-                pending.append((task, params, key))
+        for task in tasks:
+            params = task.resolved_params(master_seed)
+            key = None
+            if (self.cache is not None or self.journal is not None) and task.cacheable:
+                key = content_key(task.fn, params)
+            self._active_keys[task.key] = key
+            # The journal is the campaign's own completed work; it
+            # outranks the shared cache on resume.
+            if self.journal is not None and key is not None:
+                if key in self.journal.replayed:
+                    report.journal_hits += 1
+                    results[task.key] = self.journal.replayed[key]
+                    continue
+            if self.cache is not None and key is not None:
+                hit, value = self.cache.load(key)
+                if hit:
+                    report.cache_hits += 1
+                    results[task.key] = value
+                    # Journal cache hits too: the WAL must be able to
+                    # resume the campaign even without the cache.
+                    if self.journal is not None:
+                        self.journal.record(key, task.key, value)
+                        report.journal_records += 1
+                    continue
+                report.cache_misses += 1
+            pending.append((task, params, key))
 
         if pending:
             self._execute(pending, results, report)
 
-        with report.stages.time("cache-store"):
-            if self.cache is not None:
-                for task, params, key in pending:
-                    if key is not None:
-                        self.cache.store(key, results[task.key])
+        if self.cache is not None:
+            for task, params, key in pending:
+                if key is not None:
+                    self.cache.store(key, results[task.key])
 
         report.wall_seconds = time.perf_counter() - started
         self.stats.absorb(report)
@@ -367,12 +264,7 @@ class SweepEngine:
         return {task.key: results[task.key] for task in tasks}
 
     def _complete(
-        self,
-        task: SweepTask,
-        value: Any,
-        seconds: float,
-        results: dict[str, Any],
-        report: RunReport,
+        self, task: SweepTask, value: Any, results: dict[str, Any], report: RunReport
     ) -> None:
         """Land one executed task: record the result and journal it.
 
@@ -381,7 +273,6 @@ class SweepEngine:
         landed here is durably recoverable via ``--resume``.
         """
         results[task.key] = value
-        report.task_seconds.record(seconds)
         if self.journal is not None:
             key = self._active_keys.get(task.key)
             if key is not None:
@@ -402,31 +293,11 @@ class SweepEngine:
             else:
                 serial.append((task, params))
 
-        with report.stages.time("execute"):
-            if parallel and self.auto_serial_threshold_s > 0:
-                # Probe the dispatch-overhead tradeoff: run the first
-                # parallelizable task in-process and time it. Cheap
-                # tasks (probe under the threshold) would lose more to
-                # pool IPC than they gain from fan-out, so the rest of
-                # the batch is demoted to the serial path.
-                probe_task, probe_params = parallel[0]
-                value, seconds = _invoke(probe_task.fn, probe_params)
-                self._complete(probe_task, value, seconds, results, report)
-                report.probe_seconds = seconds
-                report.serial_tasks += 1
-                rest = parallel[1:]
-                if seconds < self.auto_serial_threshold_s:
-                    report.auto_serial = True
-                    serial = rest + serial
-                    parallel = []
-                else:
-                    parallel = rest
-            if parallel:
-                self._run_parallel(parallel, results, report)
-            for task, params in serial:
-                value, seconds = _invoke(task.fn, params)
-                self._complete(task, value, seconds, results, report)
-            report.serial_tasks += len(serial)
+        if parallel:
+            self._run_parallel(parallel, results, report)
+        for task, params in serial:
+            self._complete(task, task.fn(**params), results, report)
+        report.serial_tasks += len(serial)
         report.executed = len(pending)
 
     # ------------------------------------------------------------------
@@ -442,8 +313,8 @@ class SweepEngine:
 
         Each round submits the still-unfinished tasks to a fresh pool.
         A broken pool (worker death) harvests whatever completed and
-        retries the rest after a linear backoff; real task exceptions
-        propagate unchanged on any round.
+        retries the rest after the retry policy's backoff; real task
+        exceptions propagate unchanged on any round.
         """
         remaining = list(items)
         failures = 0
@@ -458,19 +329,12 @@ class SweepEngine:
                 break
             report.retries += len(remaining)
             time.sleep(self.retry_policy.backoff_s(failures))
-        if not self.serial_fallback:
-            raise EngineError(
-                f"{failures} consecutive process pools broke; "
-                f"{len(remaining)} task(s) unfinished "
-                f"({', '.join(task.key for task, _ in remaining)})"
-            )
         # The pool keeps dying — finish the stragglers in-process, where
         # a crash would at least produce a real traceback.
         report.parallel_tasks += len(items) - len(remaining)
         report.serial_tasks += len(remaining)
         for task, params in remaining:
-            value, seconds = _invoke(task.fn, params)
-            self._complete(task, value, seconds, results, report)
+            self._complete(task, task.fn(**params), results, report)
 
     def _parallel_round(
         self,
@@ -487,12 +351,12 @@ class SweepEngine:
         broke = False
         try:
             futures = [
-                (task, pool.submit(_invoke, task.fn, params))
+                (task, pool.submit(task.fn, **params))
                 for task, params in items
             ]
             for task, future in futures:
                 try:
-                    value, seconds = future.result(timeout=self.task_timeout_s)
+                    value = future.result(timeout=self.task_timeout_s)
                 except concurrent.futures.BrokenExecutor:
                     broke = True
                     break
@@ -503,7 +367,7 @@ class SweepEngine:
                         f"task {task.key!r} exceeded the {self.task_timeout_s}s "
                         "timeout; its worker was terminated"
                     ) from None
-                self._complete(task, value, seconds, results, report)
+                self._complete(task, value, results, report)
             if not broke:
                 return []
             # Harvest every future that finished before the pool broke;
@@ -513,8 +377,7 @@ class SweepEngine:
                     continue
                 error = future.exception()
                 if error is None:
-                    value, seconds = future.result()
-                    self._complete(task, value, seconds, results, report)
+                    self._complete(task, future.result(), results, report)
                 elif not isinstance(error, concurrent.futures.BrokenExecutor):
                     raise error
             return [
@@ -537,7 +400,6 @@ class SweepEngine:
 
 
 __all__ = [
-    "AUTO_SERIAL_THRESHOLD_S",
     "SweepTask",
     "SweepEngine",
     "RunReport",

@@ -173,24 +173,14 @@ class TestRetryPolicy:
 
 
 class TestEnginePolicyBridge:
-    """The sweep engine now speaks the shared RetryPolicy."""
+    """The sweep engine speaks the shared RetryPolicy."""
 
-    def test_legacy_args_derive_a_policy(self):
-        engine = SweepEngine(max_pool_failures=2, retry_backoff_s=0.25)
-        assert engine.retry_policy.max_attempts == 2
-        assert engine.retry_policy.base_delay_s == pytest.approx(0.25)
-
-    def test_explicit_policy_overrides_legacy_args(self):
+    def test_explicit_policy_is_the_engines_policy(self):
         policy = RetryPolicy(max_attempts=5, base_delay_s=0.01)
-        engine = SweepEngine(retry_policy=policy)
-        assert engine.retry_policy is policy
-        assert engine.max_pool_failures == 5
-        assert engine.retry_backoff_s == pytest.approx(0.01)
+        assert SweepEngine(retry_policy=policy).retry_policy is policy
 
     def test_defaults_match_the_published_constant(self):
-        engine = SweepEngine()
-        assert engine.retry_policy.max_attempts == ENGINE_POOL_RETRIES.max_attempts
-        assert engine.retry_policy.base_delay_s == ENGINE_POOL_RETRIES.base_delay_s
+        assert SweepEngine().retry_policy is ENGINE_POOL_RETRIES
 
     def test_command_retries_jitter_on(self):
         assert COMMAND_RETRIES.jitter_fraction > 0.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 import repro
@@ -29,11 +27,6 @@ def _echo_seed(seed):
 
 def _fail():
     raise ValueError("boom")
-
-
-def _slow_square(x):
-    time.sleep(0.08)
-    return x * x
 
 
 class TestSweepTask:
@@ -100,55 +93,6 @@ class TestEngineExecution:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(EngineError):
             SweepEngine(max_workers=0)
-
-
-class TestAutoSerial:
-    """The dispatch-overhead probe that demotes cheap sweeps to serial."""
-
-    def test_cheap_tasks_demote_to_serial(self):
-        tasks = [SweepTask(_square, {"x": n}, key=str(n)) for n in range(6)]
-        engine = SweepEngine(max_workers=3, auto_serial_threshold_s=0.05)
-        results = engine.run(tasks)
-        report = engine.last_report
-        assert report.auto_serial is True
-        assert report.probe_seconds is not None
-        assert report.probe_seconds < 0.05
-        assert report.parallel_tasks == 0
-        assert report.serial_tasks == len(tasks)
-        # The demotion is invisible in the results themselves.
-        assert results == SweepEngine(max_workers=1).run(tasks)
-
-    def test_expensive_tasks_stay_parallel(self):
-        tasks = [SweepTask(_slow_square, {"x": n}, key=str(n)) for n in range(3)]
-        engine = SweepEngine(max_workers=2, auto_serial_threshold_s=0.05)
-        results = engine.run(tasks)
-        report = engine.last_report
-        assert report.auto_serial is False
-        assert report.probe_seconds is not None
-        assert report.probe_seconds >= 0.05
-        # The probe itself ran in-process; the rest fanned out.
-        assert report.serial_tasks == 1
-        assert report.parallel_tasks == len(tasks) - 1
-        assert results == {str(n): n * n for n in range(3)}
-
-    def test_disabled_by_default(self):
-        engine = SweepEngine(max_workers=2)
-        engine.run([SweepTask(_square, {"x": n}, key=str(n)) for n in range(3)])
-        report = engine.last_report
-        assert report.auto_serial is False
-        assert report.probe_seconds is None
-        assert report.parallel_tasks == 3
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(EngineError):
-            SweepEngine(auto_serial_threshold_s=-0.01)
-
-    def test_probe_respects_serial_only_engine(self):
-        # max_workers=1 never builds a parallel batch, so no probe runs.
-        engine = SweepEngine(max_workers=1, auto_serial_threshold_s=0.05)
-        engine.run([SweepTask(_square, {"x": 2}, key="sq")])
-        assert engine.last_report.probe_seconds is None
-        assert engine.last_report.auto_serial is False
 
 
 class TestResultCache:

@@ -16,11 +16,16 @@ import time
 
 import pytest
 
+from repro.control.retry import RetryPolicy
 from repro.engine import ResultCache, SweepEngine, SweepTask, make_faulty
 from repro.engine.cache import QUARANTINE_DIR
 from repro.errors import EngineError
 
 SEEDS = [int(token) for token in os.environ.get("REPRO_CHAOS_SEEDS", "1 2").split()]
+
+#: The engine's default attempts with a 10 ms base backoff, so a broken
+#: pool costs the test little wall time.
+FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay_s=0.01)
 
 
 def _square(x, seed=0):
@@ -62,7 +67,7 @@ class TestChaosRecovery:
             make_faulty(task, tmp_path) if index in (1, 4) else task
             for index, task in enumerate(_tasks())
         ]
-        engine = SweepEngine(max_workers=3, retry_backoff_s=0.01)
+        engine = SweepEngine(max_workers=3, retry_policy=FAST_RETRIES)
         recovered = engine.run(chaos, master_seed=seed)
         assert recovered == reference
         assert engine.last_report.worker_failures >= 1
@@ -85,21 +90,13 @@ class TestChaosRecovery:
         assert wrapped.seed_param == "seed"
 
     def test_serial_fallback_after_repeated_pool_failures(self):
-        engine = SweepEngine(max_workers=2, max_pool_failures=2, retry_backoff_s=0.0)
+        engine = SweepEngine(
+            max_workers=2, retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0)
+        )
         results = engine.run([SweepTask(_die_in_worker, {"x": 7}, key="d")])
         assert results == {"d": 21}
         assert engine.last_report.worker_failures == 2
         assert engine.last_report.serial_tasks == 1
-
-    def test_no_serial_fallback_raises_engine_error(self):
-        engine = SweepEngine(
-            max_workers=2,
-            max_pool_failures=2,
-            retry_backoff_s=0.0,
-            serial_fallback=False,
-        )
-        with pytest.raises(EngineError, match="unfinished"):
-            engine.run([SweepTask(_die_in_worker, {"x": 7}, key="d")])
 
     def test_surviving_tasks_are_harvested_not_rerun(self, tmp_path):
         # One killer among many squares: the squares that completed
@@ -107,7 +104,7 @@ class TestChaosRecovery:
         # executed counts each task once either way, but results must be
         # complete and correct.
         chaos = [make_faulty(_tasks()[0], tmp_path)] + _tasks()[1:]
-        engine = SweepEngine(max_workers=2, retry_backoff_s=0.01)
+        engine = SweepEngine(max_workers=2, retry_policy=FAST_RETRIES)
         results = engine.run(chaos, master_seed=3)
         assert set(results) == {f"x{i}" for i in range(6)}
 
@@ -132,10 +129,6 @@ class TestTimeouts:
     def test_constructor_validation(self):
         with pytest.raises(EngineError):
             SweepEngine(task_timeout_s=0.0)
-        with pytest.raises(EngineError):
-            SweepEngine(max_pool_failures=0)
-        with pytest.raises(EngineError):
-            SweepEngine(retry_backoff_s=-1.0)
 
 
 class TestCacheQuarantine:
