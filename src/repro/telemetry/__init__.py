@@ -16,15 +16,8 @@ __getattr__, __dir__, __all__ = _lazy(
             "CounterSnapshot",
             "EmergencyCounters",
         ),
-        "export": (
-            "counters_payload",
-            "write_counters_json",
-            "write_json",
-            "write_records_csv",
-            "write_timeseries_csv",
-        ),
         "histogram": ("LogHistogram",),
-        "metrics": ("Sample", "StateIntegrator", "Stopwatch", "TimeSeries"),
+        "metrics": ("Sample", "StateIntegrator", "TimeSeries"),
         "percentiles": ("LatencyRecorder", "LatencyWindow", "percentile"),
         "power_meter": ("PowerMeter",),
         "sensors": (

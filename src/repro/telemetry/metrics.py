@@ -12,9 +12,7 @@ computed for Table XI.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -148,48 +146,4 @@ class StateIntegrator:
         self._last_time = time
 
 
-class Stopwatch:
-    """Accumulates named wall-clock durations.
-
-    The sweep engine accounts its stages (cache probe, execution, cache
-    store) with one of these; any other pipeline that wants a cheap
-    "where did the time go" breakdown can reuse it.
-    """
-
-    def __init__(self) -> None:
-        self._seconds: dict[str, float] = {}
-        self._calls: dict[str, int] = {}
-
-    @contextmanager
-    def time(self, name: str) -> Iterator[None]:
-        """Context manager adding the block's wall time to ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-            self._calls[name] = self._calls.get(name, 0) + 1
-
-    def add(self, name: str, seconds: float) -> None:
-        """Fold an externally measured duration into ``name``."""
-        if not seconds >= 0:
-            raise ConfigurationError(f"durations must be non-negative, got {seconds}")
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-        self._calls[name] = self._calls.get(name, 0) + 1
-
-    def seconds(self, name: str) -> float:
-        return self._seconds.get(name, 0.0)
-
-    def calls(self, name: str) -> int:
-        return self._calls.get(name, 0)
-
-    def total(self) -> float:
-        return sum(self._seconds.values())
-
-    def breakdown(self) -> dict[str, float]:
-        """Accumulated seconds per stage, largest first."""
-        return dict(sorted(self._seconds.items(), key=lambda kv: -kv[1]))
-
-
-__all__ = ["Sample", "TimeSeries", "StateIntegrator", "Stopwatch"]
+__all__ = ["Sample", "TimeSeries", "StateIntegrator"]

@@ -4,12 +4,10 @@ Covers the pieces the heat-wave chaos test exercises end-to-end:
 the degradation ladder's state machine, the facility fault models and
 their injectors, the tank fluid energy balance, emergency-priority
 command delivery, reconciler starvation accounting, the safety
-supervisor's facility path, counter export, and the fleet-level
-emergency actions (controlled shutdown, evacuation, uniform capping,
-hottest-first triage).
+supervisor's facility path, and the fleet-level emergency actions
+(controlled shutdown, evacuation, uniform capping, hottest-first
+triage).
 """
-
-import json
 
 import pytest
 
@@ -39,12 +37,6 @@ from repro.faults import (
 )
 from repro.reliability.safety import SafetyConfig, SafetySupervisor
 from repro.sim.kernel import Simulator
-from repro.telemetry import (
-    ControlPlaneCounters,
-    EmergencyCounters,
-    counters_payload,
-    write_counters_json,
-)
 from repro.thermal import FC_3284, FacilityState, TankFluidRC
 
 
@@ -397,34 +389,6 @@ def test_observe_facility_edges_drive_degrade_and_rearm_counts():
     assert not safety.observe_facility(12.0, False)
     assert safety.rearm_events == 1
     assert not safety.degraded
-
-
-# ----------------------------------------------------------------------
-# Counter export
-# ----------------------------------------------------------------------
-def test_counters_payload_sections_follow_the_supplied_sets():
-    control = ControlPlaneCounters(commands_sent=2, emergency_bypasses=1)
-    emergency = EmergencyCounters(escalations=4, rearms=1)
-    payload = counters_payload(control=control, emergency=emergency, extra={"seed": 7})
-    assert payload["control_plane"]["emergency_bypasses"] == 1
-    assert payload["emergency"]["escalations"] == 4
-    assert payload["seed"] == 7
-    assert "emergency" not in counters_payload(control=control)
-    with pytest.raises(ConfigurationError):
-        counters_payload()
-
-
-def test_write_counters_json_round_trips(tmp_path):
-    target = tmp_path / "counters.json"
-    payload = write_counters_json(
-        target,
-        control=ControlPlaneCounters(reconcile_starved=3),
-        emergency=EmergencyCounters(shutdowns=2),
-    )
-    on_disk = json.loads(target.read_text())
-    assert on_disk == payload
-    assert on_disk["control_plane"]["reconcile_starved"] == 3
-    assert on_disk["emergency"]["shutdowns"] == 2
 
 
 # ----------------------------------------------------------------------

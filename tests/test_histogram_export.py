@@ -1,8 +1,4 @@
-"""Tests for the log histogram and the result exporters."""
-
-import csv
-import json
-from dataclasses import dataclass
+"""Tests for the log histogram."""
 
 import numpy as np
 import pytest
@@ -10,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.telemetry import (
-    LogHistogram,
-    TimeSeries,
-    write_json,
-    write_records_csv,
-    write_timeseries_csv,
-)
+from repro.telemetry import LogHistogram
 
 
 class TestLogHistogram:
@@ -89,72 +79,3 @@ class TestLogHistogram:
         quantiles = [histogram.quantile(q) for q in (0.1, 0.5, 0.9, 0.99)]
         assert all(b >= a - 1e-12 for a, b in zip(quantiles, quantiles[1:]))
         assert histogram.quantile(1.0) <= max(values) * 1.06
-
-
-@dataclass
-class _Row:
-    name: str
-    value: float
-
-
-class TestExport:
-    def test_records_csv(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        count = write_records_csv(path, [_Row("a", 1.0), _Row("b", 2.0)])
-        assert count == 2
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows[0] == {"name": "a", "value": "1.0"}
-
-    def test_records_csv_accepts_dicts(self, tmp_path):
-        path = tmp_path / "dicts.csv"
-        assert write_records_csv(path, [{"x": 1}, {"x": 2}]) == 2
-
-    def test_records_csv_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            write_records_csv(tmp_path / "e.csv", [])
-        with pytest.raises(ConfigurationError):
-            write_records_csv(tmp_path / "m.csv", [{"a": 1}, {"b": 2}])
-        with pytest.raises(ConfigurationError):
-            write_records_csv(tmp_path / "t.csv", [42])
-
-    def test_timeseries_csv(self, tmp_path):
-        series = TimeSeries("util")
-        series.record(0.0, 0.5)
-        series.record(3.0, 0.6)
-        path = tmp_path / "series.csv"
-        assert write_timeseries_csv(path, series) == 2
-        content = path.read_text().splitlines()
-        assert content[0] == "series,time,value"
-        assert content[1] == "util,0.0,0.5"
-
-    def test_json_with_dataclasses(self, tmp_path):
-        path = tmp_path / "snap.json"
-        write_json(path, {"rows": [_Row("a", 1.0)], "meta": 3})
-        payload = json.loads(path.read_text())
-        assert payload["rows"][0]["name"] == "a"
-        assert payload["meta"] == 3
-
-    def test_json_golden_text_is_key_sorted(self, tmp_path):
-        """The exact bytes written are pinned: sorted keys, 2-space
-        indent, trailing newline — the diffable-export contract."""
-        path = tmp_path / "golden.json"
-        write_json(path, {"zeta": 1, "alpha": {"b": 2, "a": _Row("r", 0.5)}})
-        assert path.read_text() == (
-            "{\n"
-            '  "alpha": {\n'
-            '    "a": {\n'
-            '      "name": "r",\n'
-            '      "value": 0.5\n'
-            "    },\n"
-            '    "b": 2\n'
-            "  },\n"
-            '  "zeta": 1\n'
-            "}\n"
-        )
-
-    def test_json_text_is_insertion_order_independent(self, tmp_path):
-        one, two = tmp_path / "one.json", tmp_path / "two.json"
-        write_json(one, {"b": 1, "a": 2})
-        write_json(two, {"a": 2, "b": 1})
-        assert one.read_text() == two.read_text()

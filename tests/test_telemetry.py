@@ -16,7 +16,6 @@ from repro.telemetry import (
     LatencyRecorder,
     PowerMeter,
     StateIntegrator,
-    Stopwatch,
     TimeSeries,
     percentile,
 )
@@ -468,13 +467,3 @@ class TestPowerMeter:
             meter.set_power(1.0, math.nan)
         meter.finish(10.0)
         assert meter.average_watts() == 100.0
-
-
-class TestStopwatch:
-    def test_nan_duration_rejected(self):
-        watch = Stopwatch()
-        watch.add("stage", 0.5)
-        with pytest.raises(ConfigurationError):
-            watch.add("stage", math.nan)
-        assert watch.seconds("stage") == 0.5
-        assert watch.calls("stage") == 1
