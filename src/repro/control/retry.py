@@ -114,8 +114,8 @@ class RetryPolicy:
         )
 
 
-#: The sweep engine's historical defaults (three pool re-spawns, 50 ms
-#: linear-ish backoff), now expressed through the shared policy.
+#: The sweep engine's default ``retry_policy``: three pool attempts,
+#: waiting 50 ms before the second and 100 ms before the third.
 ENGINE_POOL_RETRIES = RetryPolicy(max_attempts=3, base_delay_s=0.05)
 
 #: Command-bus default: four sends, 2 s → 4 s → 8 s with ±25% jitter —

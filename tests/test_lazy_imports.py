@@ -106,8 +106,8 @@ BENCH_IMPORTS = (
     "repro.sim.kernel",
 )
 
-#: Standard-library packages only a process pool, a cache warning or a
-#: CSV export needs.
+#: Standard-library packages only a process pool or a cache warning
+#: needs, and ``csv``, which nothing in ``src/`` needs.
 HEAVY_STDLIB = ("concurrent.futures", "multiprocessing", "logging", "csv")
 
 
