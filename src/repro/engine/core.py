@@ -264,7 +264,11 @@ class SweepEngine:
         return {task.key: results[task.key] for task in tasks}
 
     def _complete(
-        self, task: SweepTask, value: Any, results: dict[str, Any], report: RunReport
+        self,
+        task: SweepTask,
+        value: Any,
+        results: dict[str, Any],
+        report: RunReport,
     ) -> None:
         """Land one executed task: record the result and journal it.
 
