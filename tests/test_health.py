@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -372,6 +373,20 @@ class TestDetectors:
         # A century of silence, then a spike: fires exactly as if fresh.
         assert not detector.observe(1.0, 4.9)
         assert detector.observe(1.0, 2.2)
+
+    def test_both_fire_on_a_drifting_trace_and_stay_finite(self):
+        # 200,000 eight-hour windows, one per host-tick: a quiet floor,
+        # then a back half whose error rate ramps from 0.2 to 12.
+        rng = np.random.default_rng(11)
+        quiet = rng.poisson(0.1, size=100_000)
+        ramp = rng.poisson(np.linspace(0.2, 12.0, 100_000))
+        counts = np.concatenate([quiet, ramp]).astype(float).tolist()
+        for detector in (
+            DriftDetector(reference_rate_per_hour=0.0127),
+            EwmaRateDetector(trip_rate_per_hour=0.5),
+        ):
+            assert sum(detector.observe(8.0, count) for count in counts) >= 1
+            assert math.isfinite(detector.statistic)
 
     def test_ewma_smooths_toward_the_rate(self):
         detector = EwmaRateDetector(trip_rate_per_hour=1.0, half_life_hours=1.0)
