@@ -581,6 +581,26 @@ class TestServiceCore:
             for event in core.timeline
         )
 
+    def test_ladder_holds_while_no_host_is_live(self):
+        # The same excursion trips the last live host: with no junction
+        # to read, the emergency ladder must hold its stage rather than
+        # relax, power hosts back up into the derated tank and re-grant
+        # boost to an empty fleet.
+        core = ServiceCore(seed=3)
+        core.run_ticks(100)
+        core.apply_op({"op": "thermal-excursion", "derate": 0.05, "duration_s": 200.0})
+        previous = core.emergency_stage
+        dark_ticks = relaxed = boosted = 0
+        for _ in range(1000):
+            core.tick()
+            if all(host.failed for host in core._hosts):
+                dark_ticks += 1
+                relaxed += core.emergency_stage < previous
+                boosted += core.boost_active
+            previous = core.emergency_stage
+        assert dark_ticks > 0
+        assert (relaxed, boosted) == (0, 0)
+
     def test_unknown_op_rejected(self):
         core = ServiceCore(seed=1)
         with pytest.raises(ConfigurationError):

@@ -249,6 +249,44 @@ class TestEndpoints:
         asyncio.run(scenario())
 
 
+#: Raw requests the shell must answer with a status, not a dropped
+#: connection: request -> expected status.
+MALFORMED_REQUESTS = {
+    "bad-request-line": (b"BOGUS\r\n\r\n", 400),
+    "oversized-body": (b"POST /ops HTTP/1.1\r\nContent-Length: 999999\r\n\r\n", 413),
+    "non-numeric-length": (b"POST /ops HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    "negative-length": (b"POST /ops HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    "non-integer-since": (b"GET /metrics?since=abc HTTP/1.1\r\n\r\n", 400),
+    "non-integer-ticks": (b"GET /stream?ticks=x HTTP/1.1\r\n\r\n", 400),
+}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_REQUESTS))
+    def test_answered_with_its_status(self, tmp_path, name):
+        raw, expected = MALFORMED_REQUESTS[name]
+
+        async def scenario():
+            server = await _start_server(tmp_path)
+            try:
+                host, port = server.host, server.bound_port
+                await _wait_ready(server)
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(raw)
+                await writer.drain()
+                status_line = await asyncio.wait_for(reader.readline(), 5.0)
+                writer.close()
+                await writer.wait_closed()
+                status, _, _ = await _request(host, port, "GET", "/healthz")
+                return status_line, status
+            finally:
+                await server.stop()
+
+        status_line, health = asyncio.run(scenario())
+        assert status_line.split()[:2] == [b"HTTP/1.1", str(expected).encode()]
+        assert health == 200
+
+
 class TestSustainedLoad:
     def test_load_test_within_slo_while_ticking(self, tmp_path):
         """>= 1k requests complete within the SLO while the fleet ticks."""
