@@ -613,7 +613,10 @@ class ServiceCore:
         if self.mode == "robust":
             assert self._emergency is not None and self._link is not None
             assert self.safety is not None
-            self._emergency.observe(now, margin if margin is not None else float("inf"))
+            if margin is not None:
+                # With no live host there is no junction to read: the
+                # ladder holds its stage rather than relax.
+                self._emergency.observe(now, margin)
             self.safety.observe_actuation(now, len(self._link.open_breakers))
             self._resolve_boost()
             self._enforce_caps()
