@@ -86,6 +86,14 @@ class _HttpError(Exception):
         self.status = status
 
 
+def _integer(text: str, name: str) -> int:
+    """``text`` as a decimal integer, else a 400."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _HttpError(400, f"{name} must be an integer, got {text!r}") from None
+
+
 @dataclasses.dataclass
 class _Request:
     method: str
@@ -251,6 +259,12 @@ class ServiceServer:
                     )
                 except asyncio.TimeoutError:
                     break
+                except _HttpError as error:
+                    # The rest of the stream cannot be framed: answer, close.
+                    await self._respond(
+                        writer, error.status, {"error": str(error)}, keep_alive=False
+                    )
+                    break
                 if request is None:
                     break
                 self.requests_served += 1
@@ -292,7 +306,9 @@ class ServiceServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = _integer(headers.get("content-length") or "0", "Content-Length")
+        if length < 0:
+            raise _HttpError(400, "Content-Length must be non-negative")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -368,7 +384,7 @@ class ServiceServer:
         if request.path == "/metrics":
             if request.method != "GET":
                 raise _HttpError(405, "metrics is GET-only")
-            since = int(request.query.get("since", ["0"])[0])
+            since = _integer(request.query.get("since", ["0"])[0], "since")
             samples = [
                 _sample_dict(sample)
                 for sample in self.core.history
@@ -382,7 +398,7 @@ class ServiceServer:
         if request.path == "/stream":
             if request.method != "GET":
                 raise _HttpError(405, "stream is GET-only")
-            limit = int(request.query.get("ticks", ["0"])[0])
+            limit = _integer(request.query.get("ticks", ["0"])[0], "ticks")
             await self._stream(writer, limit)
             return False
         if request.path == "/ops":
