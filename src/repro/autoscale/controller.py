@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..cluster.lifecycle import VMLifecycleManager
 from ..cluster.vm import VMInstance, VMSpec
 from ..errors import ConfigurationError
 from ..reliability.governor import OverclockGuard
-from ..reliability.safety import SafetySupervisor
 from ..silicon.configs import B2, FrequencyConfig
 from ..silicon.server import ServerPowerModel
 from ..sim.kernel import Simulator
@@ -44,10 +42,6 @@ from ..telemetry.power_meter import PowerMeter
 from ..workloads.queueing import LoadBalancer, ServerVM
 from .model import minimum_frequency_below, utilization_headroom_frequency
 from .policy import AutoscalePolicy, ScalerMode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..control.bus import Command, HostAgent
-    from ..control.link import ActuationLink
 
 
 @dataclass
@@ -92,21 +86,6 @@ class AutoScalerResult:
     vm_failures: int = 0
     #: Times the degraded mode overclocked survivors to cover a redeploy.
     recovery_boosts: int = 0
-    #: Control ticks spent with telemetry degraded (frequency held at base).
-    telemetry_degraded_ticks: int = 0
-    #: Times the safety supervisor tripped and forced a de-rate.
-    telemetry_derates: int = 0
-    #: Control ticks spent under a declared facility emergency (no
-    #: scale-up, no overclock, no recovery boosts).
-    facility_emergency_ticks: int = 0
-    #: Actuation commands that exhausted every retry without an ack.
-    actuation_failures: int = 0
-    #: Command re-sends after ack timeouts or breaker fast-fails.
-    actuation_retries: int = 0
-    #: Times the fleet's dead-man lease reverted it to base frequency.
-    lease_reverts: int = 0
-    #: Drift repairs issued by the reconciliation loop.
-    reconcile_repairs: int = 0
 
     def vm_hours(self) -> float:
         return self.vm_count.integral() / 3600.0
@@ -119,20 +98,16 @@ class AutoScaler:
         self,
         simulator: Simulator,
         policy: AutoscalePolicy,
-        vm_spec: VMSpec | None = None,
         initial_vms: int = 1,
         scale_out_latency_s: float = 60.0,
-        power_model: ServerPowerModel | None = None,
         warmup_s: float = 0.0,
         recovery_guard: OverclockGuard | None = None,
-        recovery_headroom_watts: float = float("inf"),
-        safety: SafetySupervisor | None = None,
     ) -> None:
         if initial_vms < 1:
             raise ConfigurationError("need at least one initial VM")
         self._sim = simulator
         self.policy = policy
-        self._spec = vm_spec if vm_spec is not None else VMSpec(vcores=4, memory_gb=16.0)
+        self._spec = VMSpec(vcores=4, memory_gb=16.0)
         self._lifecycle = VMLifecycleManager(simulator, scale_out_latency_s)
         self.load_balancer = LoadBalancer()
         self._handles: dict[str, _VMHandle] = {}
@@ -140,30 +115,13 @@ class AutoScaler:
         self._ladder = policy.frequency_ladder()
         self._scale_out_in_flight = False
         self._last_scale_out_at = -float("inf")
-        self._power_model = power_model if power_model is not None else ServerPowerModel()
+        self._power_model = ServerPowerModel()
         #: Degraded mode: with a guard attached, survivors overclock to
         #: absorb lost capacity while replacement deploys are in flight.
         self.recovery_guard = recovery_guard
-        self.recovery_headroom_watts = recovery_headroom_watts
         self._recovery_in_flight = 0
         self.vm_failures = 0
         self.recovery_boosts = 0
-        #: Fail-safe telemetry supervisor: while degraded, the frequency
-        #: governor is bypassed and the fleet holds base frequency.
-        self.safety = safety
-        self.telemetry_degraded_ticks = 0
-        self.telemetry_derates = 0
-        self.facility_emergency_ticks = 0
-        #: Unreliable actuation path (None = perfect, instantaneous).
-        #: While attached, ``_frequency_ghz`` is the controller's
-        #: *desired* frequency; serving VMs change speed only when the
-        #: SET_FREQUENCY command actually lands on the host agent.
-        self.actuation: "ActuationLink | None" = None
-        self._actuation_host = ""
-        self._actuation_agent: "HostAgent | None" = None
-        self._pending_deploys: dict[str, tuple[float | None, bool]] = {}
-        self._deploy_seq = 0
-        self.lease_reverts = 0
 
         # Telemetry sinks.
         self.latency = LatencyRecorder("autoscaler", drop_warmup_before=warmup_s)
@@ -198,100 +156,8 @@ class AutoScaler:
         """VMs serving or deploying."""
         return len(self._lifecycle.active_instances)
 
-    # ------------------------------------------------------------------
-    # Unreliable actuation (the control plane between ASC and fleet)
-    # ------------------------------------------------------------------
-    def attach_actuation(self, link: "ActuationLink", host_id: str = "fleet") -> None:
-        """Route all further actuation through an unreliable control plane.
-
-        The link's host agent becomes the fleet's BMC: frequency changes,
-        deploys, and retirements happen only when their commands survive
-        the link's channel, and the agent's dead-man lease autonomously
-        reverts the fleet to base frequency if the controller's
-        heartbeats (sent every decision tick) stop arriving.
-        """
-        if self.actuation is not None:
-            raise ConfigurationError("an actuation link is already attached")
-        self.actuation = link
-        self._actuation_host = host_id
-        self._actuation_agent = link.add_host(
-            host_id,
-            base_frequency_ghz=self.policy.min_frequency_ghz,
-            apply_frequency=self._apply_frequency_direct,
-            deploy_vm=self._materialize_deploy,
-            retire_vm=self._materialize_retire,
-            on_lease_expired=self._on_lease_expired,
-        )
-
-    def _actual_frequency_ghz(self) -> float:
-        """What the fleet is really running (vs. ``_frequency_ghz`` desired)."""
-        if self._actuation_agent is not None:
-            return self._actuation_agent.frequency_ghz
-        return self._frequency_ghz
-
-    def _on_lease_expired(self, host_id: str) -> None:
-        self.lease_reverts += 1
-
-    def _materialize_deploy(self, token: str) -> None:
-        """A DEPLOY_VM command landed: actually create the VM."""
-        params = self._pending_deploys.pop(token, None)
-        if params is None:
-            return  # duplicate/reconciled deploy for a settled token
-        latency_override_s, recovery = params
-        self._deploy_vm_direct(latency_override_s, recovery, counted=True)
-
-    def _materialize_retire(self, token: str) -> None:
-        """A RETIRE_VM command landed: detach the named VM if still serving."""
-        handle = self._handles.get(token)
-        if handle is None:
-            return  # already retired, crashed, or duplicate delivery
-        self.load_balancer.detach(handle.app)
-        del self._handles[token]
-        self._lifecycle.delete_vm(handle.instance.vm_id)
-        self._record_vm_count()
-
-    def _on_deploy_failed(self, command: "Command", reason: str) -> None:
-        """A deploy exhausted its retries: give the decision loop its
-        slot back (it will re-decide from live load next tick)."""
-        token = str(command.payload)
-        params = self._pending_deploys.pop(token, None)
-        if params is None:
-            return
-        _, recovery = params
-        if self.actuation is not None and self.actuation.reconciler is not None:
-            self.actuation.reconciler.drop_vm(token)
-        if recovery:
-            self._recovery_in_flight -= 1
-            if self._recovery_in_flight == 0:
-                self._end_recovery_boost()
-        else:
-            self._scale_out_in_flight = False
-
     def _deploy_vm(
         self, latency_override_s: float | None = None, recovery: bool = False
-    ) -> None:
-        if self.actuation is None or latency_override_s == 0.0:
-            # Bootstrap deploys predate the link; everything else rides it.
-            self._deploy_vm_direct(latency_override_s, recovery)
-            return
-        self._deploy_seq += 1
-        token = f"vm-deploy-{self._deploy_seq}"
-        self._pending_deploys[token] = (latency_override_s, recovery)
-        # Intent is booked now; the host materializes it when (if) the
-        # command lands, and _on_deploy_failed returns the slot.
-        if recovery:
-            self._recovery_in_flight += 1
-        else:
-            self._scale_out_in_flight = True
-        self.actuation.deploy_vm(
-            token, self._actuation_host, on_failed=self._on_deploy_failed
-        )
-
-    def _deploy_vm_direct(
-        self,
-        latency_override_s: float | None = None,
-        recovery: bool = False,
-        counted: bool = False,
     ) -> None:
         def on_ready(instance: VMInstance) -> None:
             app = ServerVM(
@@ -301,7 +167,7 @@ class AutoScaler:
                 base_frequency_ghz=self.policy.min_frequency_ghz,
                 latency_recorder=self.latency,
             )
-            app.set_frequency(self._actual_frequency_ghz())
+            app.set_frequency(self._frequency_ghz)
             self.load_balancer.attach(app)
             self._handles[instance.vm_id] = _VMHandle(instance=instance, app=app)
             if recovery:
@@ -315,28 +181,18 @@ class AutoScaler:
         self._lifecycle.request_vm(
             self._spec, on_ready=on_ready, latency_override_s=latency_override_s
         )
-        if not counted:
-            if recovery:
-                self._recovery_in_flight += 1
-            elif latency_override_s != 0.0:
-                self._scale_out_in_flight = True
+        if recovery:
+            self._recovery_in_flight += 1
+        elif latency_override_s != 0.0:
+            self._scale_out_in_flight = True
         self._record_vm_count()
 
     def _retire_vm(self) -> None:
-        """Scale in: detach the most recent VM and let it drain.
-
-        With actuation attached the controller picks the victim now but
-        the detach happens only when the RETIRE_VM command lands — a
-        lost retirement leaves the VM serving (billable drift the
-        reconciliation loop exists to bound).
-        """
+        """Scale in: detach the most recent VM and let it drain."""
         vms = self.load_balancer.vms
         if not vms:
             return
         app = vms[-1]
-        if self.actuation is not None:
-            self.actuation.retire_vm(app.name, self._actuation_host)
-            return
         self.load_balancer.detach(app)
         handle = self._handles.pop(app.name)
         self._lifecycle.delete_vm(handle.instance.vm_id)
@@ -352,11 +208,6 @@ class AutoScaler:
     # ------------------------------------------------------------------
     # Failure recovery (degraded mode)
     # ------------------------------------------------------------------
-    @property
-    def recovering(self) -> bool:
-        """True while replacement deploys for crashed VMs are in flight."""
-        return self._recovery_in_flight > 0
-
     def inject_vm_failures(self, count: int = 1) -> tuple[str, ...]:
         """Crash up to ``count`` serving VMs and start their recovery.
 
@@ -388,13 +239,8 @@ class AutoScaler:
         """Overclock survivors through the guard while redeploys run."""
         if self.recovery_guard is None or not self._handles:
             return
-        # Never boost blind: degraded telemetry outranks failure recovery.
-        if self.safety is not None and self.safety.degraded:
-            return
         requested = self.policy.max_frequency_ghz / self.policy.min_frequency_ghz
-        decision = self.recovery_guard.decide(
-            requested, power_headroom_watts=self.recovery_headroom_watts
-        )
+        decision = self.recovery_guard.decide(requested)
         if decision.granted_ratio <= 1.0:
             return
         target = min(
@@ -425,13 +271,6 @@ class AutoScaler:
     # ------------------------------------------------------------------
     def _decide(self) -> None:
         now = self._sim.now
-        # 0. Actuation-plane liveness: heartbeats renew the fleet's
-        #    dead-man lease, and an open breaker degrades the safety
-        #    supervisor exactly like lost telemetry.
-        if self.actuation is not None:
-            self.actuation.heartbeat()
-            if self.safety is not None:
-                self.safety.observe_actuation(now, len(self.actuation.open_breakers))
         # 1. Sample telemetry from every serving VM.
         utils: list[float] = []
         betas: list[float] = []
@@ -450,45 +289,18 @@ class AutoScaler:
         short_util = sum(utils) / len(utils)
         beta = sum(betas) / len(betas)
         self.utilization_trace.record(now, short_util)
-        self.frequency_trace.record(now, self._actual_frequency_ghz())
+        self.frequency_trace.record(now, self._frequency_ghz)
         self._sample_power(short_util)
 
         long_util = self.utilization_trace.window_mean(now, self.policy.scale_out_window_s)
         if long_util is None:
             long_util = short_util
 
-        # 2. Telemetry health. A degraded control plane fails safe: hold
-        #    base frequency and suspend scale-in (capacity may only grow)
-        #    until the supervisor re-arms on clean samples.
-        degraded = False
-        facility_emergency = False
-        if self.safety is not None:
-            if self.safety.fusion is not None:
-                self.safety.poll(now)
-            degraded = self.safety.degraded
-            facility_emergency = getattr(self.safety, "facility_emergency", False)
-        if facility_emergency:
-            # A cooling-plant emergency: adding load is the one thing the
-            # facility cannot absorb right now, so scale-out stops too
-            # (degraded-mode rules below already stop boosts/overclock).
-            self.facility_emergency_ticks += 1
-        if degraded:
-            self.telemetry_degraded_ticks += 1
-            if self._frequency_ghz > self.policy.min_frequency_ghz:
-                self.telemetry_derates += 1
-                self._apply_frequency(self.policy.min_frequency_ghz)
-
-        # 3. Scale-out/in on the slow signal.
+        # 2. Scale-out/in on the slow signal.
         if self.policy.enable_scale_out:
-            self._scale_out_in(
-                long_util,
-                allow_scale_in=not degraded,
-                allow_scale_out=not facility_emergency,
-            )
+            self._scale_out_in(long_util)
 
-        # 4. Frequency control (suppressed entirely while degraded).
-        if degraded:
-            return
+        # 3. Frequency control.
         if self.policy.mode is ScalerMode.OC_A:
             # Model-driven scale-up/down on the fast signal (Fig. 8b).
             self._scale_up_down(short_util, beta)
@@ -502,15 +314,9 @@ class AutoScaler:
             else:
                 self._apply_frequency(self.policy.min_frequency_ghz)
 
-    def _scale_out_in(
-        self,
-        long_util: float,
-        allow_scale_in: bool = True,
-        allow_scale_out: bool = True,
-    ) -> None:
+    def _scale_out_in(self, long_util: float) -> None:
         if (
-            allow_scale_out
-            and long_util > self.policy.scale_out_threshold
+            long_util > self.policy.scale_out_threshold
             and not self._scale_out_in_flight
             and self.provisioned_vm_count < self.policy.max_vms
             and self._sim.now - self._last_scale_out_at >= self.policy.scale_out_cooldown_s
@@ -519,8 +325,7 @@ class AutoScaler:
             self._last_scale_out_at = self._sim.now
             self._deploy_vm()
         elif (
-            allow_scale_in
-            and long_util < self.policy.scale_in_threshold
+            long_util < self.policy.scale_in_threshold
             and self.active_vm_count > self.policy.min_vms
             and not self._scale_out_in_flight
         ):
@@ -550,17 +355,10 @@ class AutoScaler:
                 self._apply_frequency(target)
 
     def _apply_frequency(self, frequency_ghz: float) -> None:
-        """Desire ``frequency_ghz``; apply it directly or via the bus."""
+        """Retune every serving VM to ``frequency_ghz``."""
         if frequency_ghz == self._frequency_ghz:
             return
         self._frequency_ghz = frequency_ghz
-        if self.actuation is not None:
-            self.actuation.set_frequency(frequency_ghz, hosts=(self._actuation_host,))
-            return
-        self._apply_frequency_direct(frequency_ghz)
-
-    def _apply_frequency_direct(self, frequency_ghz: float) -> None:
-        """The actuator: retune every serving VM (host-agent callback)."""
         for handle in self._handles.values():
             handle.app.set_frequency(frequency_ghz)
 
@@ -572,18 +370,16 @@ class AutoScaler:
             handle.app.vcores * utilization for handle in self._handles.values()
         )
         busy_cores = min(busy_cores, float(self._power_model.spec.pcores))
-        # Power follows the frequency the silicon actually runs, not the
-        # one the controller believes it commanded.
-        actual_ghz = self._actual_frequency_ghz()
+        frequency_ghz = self._frequency_ghz
         # Voltage tracks the V/F curve: the +50 mV offset applies in full
         # only at the top of the ladder (4.1 GHz), proportionally below.
         span = self.policy.max_frequency_ghz - self.policy.min_frequency_ghz
         offset_mv = 50.0 * max(
-            0.0, (actual_ghz - self.policy.min_frequency_ghz) / span
+            0.0, (frequency_ghz - self.policy.min_frequency_ghz) / span
         )
         config = FrequencyConfig(
             name="asc-dynamic",
-            core_ghz=actual_ghz,
+            core_ghz=frequency_ghz,
             voltage_offset_mv=offset_mv,
             turbo_enabled=None,
             llc_ghz=B2.llc_ghz,
@@ -611,21 +407,6 @@ class AutoScaler:
             max_vms=self.max_vms,
             vm_failures=self.vm_failures,
             recovery_boosts=self.recovery_boosts,
-            telemetry_degraded_ticks=self.telemetry_degraded_ticks,
-            telemetry_derates=self.telemetry_derates,
-            facility_emergency_ticks=self.facility_emergency_ticks,
-            actuation_failures=(
-                self.actuation.counters.failures if self.actuation is not None else 0
-            ),
-            actuation_retries=(
-                self.actuation.counters.retries if self.actuation is not None else 0
-            ),
-            lease_reverts=self.lease_reverts,
-            reconcile_repairs=(
-                self.actuation.counters.reconcile_repairs
-                if self.actuation is not None
-                else 0
-            ),
         )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autoscale import AutoScaler, AutoscalePolicy, ScalerMode
 from repro.errors import ConfigurationError, TelemetryDegraded
 from repro.experiments.degraded_telemetry import (
     run_degraded_telemetry,
@@ -24,7 +23,6 @@ from repro.reliability import (
     physics_tj_bounds,
 )
 from repro.silicon import DynamicPowerModel, LeakageModel
-from repro.sim import Simulator
 from repro.telemetry import (
     FaultySensor,
     SensorFault,
@@ -194,36 +192,6 @@ class TestPhysicsBounds:
         assert bounds.contains(junction.junction_temp_c(205.0))
         assert bounds.lower < 34.0
         assert not bounds.contains(250.0)
-
-
-class TestAutoScalerFailSafe:
-    def test_degraded_supervisor_forces_base_frequency(self):
-        _, sensors, fusion = make_fusion()
-        supervisor = SafetySupervisor(
-            fusion=fusion, config=SafetyConfig(max_suspect_ticks=1)
-        )
-        simulator = Simulator(seed=1)
-        policy = AutoscalePolicy(mode=ScalerMode.OC_A)
-        scaler = AutoScaler(simulator, policy, safety=supervisor)
-        scaler._frequency_ghz = policy.max_frequency_ghz
-        fusion.read(0.0)  # prime seqs so every later read is stale
-        drop_all(sensors)
-        simulator.run(until=4 * policy.decision_interval_s)
-        assert supervisor.degraded
-        assert scaler.frequency_ghz == pytest.approx(policy.min_frequency_ghz)
-        assert scaler.telemetry_degraded_ticks >= 1
-        assert scaler.telemetry_derates == 1
-
-    def test_healthy_supervisor_leaves_scaler_alone(self):
-        _, sensors, fusion = make_fusion()
-        supervisor = SafetySupervisor(fusion=fusion)
-        simulator = Simulator(seed=1)
-        policy = AutoscalePolicy(mode=ScalerMode.OC_A)
-        scaler = AutoScaler(simulator, policy, safety=supervisor)
-        simulator.run(until=4 * policy.decision_interval_s)
-        assert not supervisor.degraded
-        assert scaler.telemetry_degraded_ticks == 0
-        assert scaler.telemetry_derates == 0
 
 
 class TestEndToEndDegradedTelemetry:
