@@ -207,11 +207,6 @@ class HostAgent:
         """How many acks the dedup cache holds now."""
         return len(self._acked)
 
-    @property
-    def lease_deadline_s(self) -> float:
-        """Virtual time at which the current lease expires."""
-        return self._last_heartbeat_s + self.lease_misses * self.heartbeat_interval_s
-
     def receive(self, command: Command) -> None:
         """Process one delivered command (possibly a duplicate).
 
@@ -298,7 +293,7 @@ class HostAgent:
     # ------------------------------------------------------------------
     def _check_lease(self) -> None:
         now = self._sim.now
-        # ``lease_deadline_s``, inlined: this runs every heartbeat interval.
+        # The lease runs ``lease_misses`` heartbeat intervals past the last heartbeat.
         if now <= self._last_heartbeat_s + self.lease_misses * self.heartbeat_interval_s + 1e-9:
             return
         if not self.is_overclocked:

@@ -95,17 +95,9 @@ class ControlError(ReproError):
     """The actuation control plane was misused or misconfigured.
 
     Raised for wiring mistakes (sending to a host with no attached
-    agent, attaching the same agent twice) — never for transport loss,
-    which is reported through :class:`CommandFailure` callbacks.
-    """
-
-
-class CommandFailure(ControlError):
-    """A command exhausted its retry budget without an acknowledgement.
-
-    Carried to ``on_failed`` callbacks (or raised by callers that choose
-    to escalate); the reconciliation loop exists to repair the drift
-    these failures leave behind.
+    agent, attaching the same agent twice) — never for transport loss:
+    a command that exhausts its retries is reported to its sender's
+    ``on_failed(command, reason)`` callback.
     """
 
 
