@@ -5,7 +5,7 @@ from repro.experiments.autoscaling import format_fig15, phase_summary, run_fig15
 
 def test_fig15_model_validation(benchmark, emit):
     result = benchmark.pedantic(run_fig15, rounds=1, iterations=1)
-    emit("fig15_model_validation", format_fig15())
+    emit("fig15_model_validation", format_fig15(result))
     phases = phase_summary(result)
     # Load peaks drive the frequency up; the lull brings it back down.
     assert phases[1]["mean_frequency_ghz"] > phases[0]["mean_frequency_ghz"]

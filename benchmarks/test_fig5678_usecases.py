@@ -34,5 +34,5 @@ def test_fig8_maneuvers(benchmark, emit):
     from repro.experiments.usecases import run_fig8
 
     timelines = benchmark.pedantic(run_fig8, rounds=1, iterations=1)
-    emit("fig8_maneuvers", format_fig8())
+    emit("fig8_maneuvers", format_fig8(timelines))
     assert set(timelines) == {"oc-e", "oc-a"}

@@ -124,8 +124,8 @@ def phase_summary(result: Fig15Result, phase_seconds: float = 300.0) -> list[dic
     return summaries
 
 
-def format_fig15() -> str:
-    result = run_fig15()
+def format_fig15(result: Fig15Result | None = None) -> str:
+    result = result if result is not None else run_fig15()
     rows = [
         (
             f"{summary['qps']:.0f}",

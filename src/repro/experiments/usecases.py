@@ -193,8 +193,8 @@ def run_fig8(seed: int = 3) -> dict[str, list[tuple[float, float]]]:
     return timelines
 
 
-def format_fig8() -> str:
-    timelines = run_fig8()
+def format_fig8(timelines: dict[str, list[tuple[float, float]]] | None = None) -> str:
+    timelines = timelines if timelines is not None else run_fig8()
     lines = ["Figure 8 — scale-up maneuvers on a 700->1400 QPS step (two VMs)"]
     for mode, samples in timelines.items():
         overclocked = [time for time, freq in samples if freq > 3.4]
