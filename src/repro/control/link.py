@@ -6,10 +6,10 @@
 :class:`~repro.control.bus.HostAgent` per host, and a
 :class:`~repro.control.reconcile.Reconciler` — behind the small verb set
 a controller actually needs: :meth:`set_frequency`, :meth:`deploy_vm`,
-:meth:`retire_vm`, :meth:`heartbeat`. The
-:class:`~repro.autoscale.controller.AutoScaler` attaches one via
-``attach_actuation``; experiments build them directly to race controller
-variants over identical fault schedules.
+:meth:`retire_vm`, :meth:`heartbeat`. The live service core and the
+partition, heat-wave and oversubscription experiments each build one,
+the experiments to race controller variants over identical fault
+schedules.
 
 Everything in the bundle shares one seed, one
 :class:`~repro.telemetry.counters.ControlPlaneCounters`, and one
