@@ -48,8 +48,10 @@ import math
 import random
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
+from ..engine.fork import run_pair
 from ..engine.journal import RunJournal
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent, FaultTimeline
@@ -488,10 +490,11 @@ def run_envelope_rollout(seed: int = 1, **overrides) -> RolloutComparison:
     ``overrides`` forwards experiment parameters (``horizon_ticks``)
     to :func:`run_rollout_mode`.
     """
-    return RolloutComparison(
-        naive=run_rollout_mode(canary=False, seed=seed, **overrides),
-        canary=run_rollout_mode(canary=True, seed=seed, **overrides),
+    naive, canary = run_pair(
+        partial(run_rollout_mode, canary=False, seed=seed, **overrides),
+        partial(run_rollout_mode, canary=True, seed=seed, **overrides),
     )
+    return RolloutComparison(naive=naive, canary=canary)
 
 
 #: Timeline kinds worth showing in full in the CLI rendering.

@@ -23,9 +23,11 @@ attributable to the recovery policy and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..autoscale.controller import AutoScaler
 from ..autoscale.policy import AutoscalePolicy, ScalerMode
+from ..engine.fork import run_pair
 from ..faults.injectors import FaultCampaign, HostFailureInjector
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
@@ -144,10 +146,11 @@ def run_failure_recovery(seed: int = 1, **overrides) -> RecoveryComparison:
     ``horizon_s``, ...) to :func:`run_recovery_mode`, letting tests
     shrink the run.
     """
-    return RecoveryComparison(
-        baseline=run_recovery_mode(oc_recovery=False, seed=seed, **overrides),
-        oc=run_recovery_mode(oc_recovery=True, seed=seed, **overrides),
+    baseline, oc = run_pair(
+        partial(run_recovery_mode, oc_recovery=False, seed=seed, **overrides),
+        partial(run_recovery_mode, oc_recovery=True, seed=seed, **overrides),
     )
+    return RecoveryComparison(baseline=baseline, oc=oc)
 
 
 def format_failure_recovery(

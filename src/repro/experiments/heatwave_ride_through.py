@@ -35,6 +35,7 @@ seed matrix by ``make test-emergency``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..cluster.fleet import hottest_first
 from ..cluster.host import Host
@@ -52,6 +53,7 @@ from ..emergency.ladder import (
     max_stage,
     worst_margin_c,
 )
+from ..engine.fork import run_pair
 from ..faults.injectors import (
     FaultCampaign,
     register_channel_injectors,
@@ -464,10 +466,11 @@ def run_heatwave_ride_through(seed: int = 1, **overrides) -> HeatwaveComparison:
     ``overrides`` forwards experiment parameters (``horizon_s``, ...)
     to :func:`run_heatwave_mode`.
     """
-    return HeatwaveComparison(
-        naive=run_heatwave_mode(laddered=False, seed=seed, **overrides),
-        laddered=run_heatwave_mode(laddered=True, seed=seed, **overrides),
+    naive, laddered = run_pair(
+        partial(run_heatwave_mode, laddered=False, seed=seed, **overrides),
+        partial(run_heatwave_mode, laddered=True, seed=seed, **overrides),
     )
+    return HeatwaveComparison(naive=naive, laddered=laddered)
 
 
 #: Timeline kinds worth showing in full in the CLI rendering.

@@ -38,7 +38,9 @@ mirage the deadline accounting exists to dispel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
+from ..engine.fork import run_pair
 from ..faults.timeline import FaultEvent
 from ..service.core import ServiceConfig, ServiceCore
 from .tables import key_event_lines, render_table
@@ -223,11 +225,11 @@ class StormComparison:
 
 def run_overload_storm(seed: int = 1, **overrides) -> StormComparison:
     """Race both fleets through the identical demand+thermal storm."""
-    return StormComparison(
-        seed=seed,
-        naive=run_storm_mode(mode="naive", seed=seed, **overrides),
-        robust=run_storm_mode(mode="robust", seed=seed, **overrides),
+    naive, robust = run_pair(
+        partial(run_storm_mode, mode="naive", seed=seed, **overrides),
+        partial(run_storm_mode, mode="robust", seed=seed, **overrides),
     )
+    return StormComparison(seed=seed, naive=naive, robust=robust)
 
 
 #: Timeline kinds worth rendering in full.

@@ -35,6 +35,7 @@ reproducibility contract (same seed ⇒ bit-identical).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..cluster.host import Host
 from ..cluster.power_cap import PowerCapGovernor
@@ -42,6 +43,7 @@ from ..cluster.vm import VMInstance, VMSpec
 from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
 from ..emergency.ladder import max_stage
+from ..engine.fork import run_pair
 from ..faults.injectors import FaultCampaign, register_power_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
@@ -561,10 +563,11 @@ def run_oversubscription_crisis(seed: int = 1, **overrides) -> CrisisComparison:
     ``overrides`` forwards experiment parameters (``horizon_s``, ...)
     to :func:`run_oversubscription_mode`.
     """
-    return CrisisComparison(
-        naive=run_oversubscription_mode(arbitrated=False, seed=seed, **overrides),
-        arbitrated=run_oversubscription_mode(arbitrated=True, seed=seed, **overrides),
+    naive, arbitrated = run_pair(
+        partial(run_oversubscription_mode, arbitrated=False, seed=seed, **overrides),
+        partial(run_oversubscription_mode, arbitrated=True, seed=seed, **overrides),
     )
+    return CrisisComparison(naive=naive, arbitrated=arbitrated)
 
 
 #: Timeline kinds worth showing in full in the CLI rendering.

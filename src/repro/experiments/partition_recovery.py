@@ -29,10 +29,12 @@ pins down across seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
 from ..control.retry import RetryPolicy
+from ..engine.fork import run_pair
 from ..faults.injectors import FaultCampaign, register_channel_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
@@ -228,10 +230,11 @@ def run_partition_recovery(seed: int = 1, **overrides) -> PartitionComparison:
     ``overrides`` forwards experiment parameters (``horizon_s``,
     ``partition_duration_s``, ...) to :func:`run_partition_mode`.
     """
-    return PartitionComparison(
-        naive=run_partition_mode(robust=False, seed=seed, **overrides),
-        robust=run_partition_mode(robust=True, seed=seed, **overrides),
+    naive, robust = run_pair(
+        partial(run_partition_mode, robust=False, seed=seed, **overrides),
+        partial(run_partition_mode, robust=True, seed=seed, **overrides),
     )
+    return PartitionComparison(naive=naive, robust=robust)
 
 
 #: Timeline kinds worth showing in full in the CLI rendering (the

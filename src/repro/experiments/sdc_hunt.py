@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
+from ..engine.fork import run_pair
 from ..faults.injectors import FaultCampaign, register_health_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
@@ -412,10 +414,11 @@ def run_sdc_hunt(seed: int = 1, **overrides) -> SdcHuntComparison:
     ``overrides`` forwards experiment parameters (``horizon_hours``)
     to :func:`run_sdc_mode`.
     """
-    return SdcHuntComparison(
-        naive=run_sdc_mode(robust=False, seed=seed, **overrides),
-        robust=run_sdc_mode(robust=True, seed=seed, **overrides),
+    naive, robust = run_pair(
+        partial(run_sdc_mode, robust=False, seed=seed, **overrides),
+        partial(run_sdc_mode, robust=True, seed=seed, **overrides),
     )
+    return SdcHuntComparison(naive=naive, robust=robust)
 
 
 #: Timeline kinds worth showing in full in the CLI rendering.

@@ -47,8 +47,9 @@ Two details keep snapshots cheap for the live core:
 
 * On CPython 3.11+, reading an instance's ``__dict__`` (which default
   pickling does) permanently slows attribute access on that instance,
-  so the live core is pickled in a forked child, which writes the file
-  and exits; the parent only waits.
+  so the live core is pickled in a forked child
+  (:func:`repro.engine.fork.run_in_child`), which writes the file and
+  exits; the parent only waits.
 * The pickle restores instance state through :func:`_assign_state`,
   which sets attributes one by one instead of filling ``__dict__``, so
   a restored core ticks as fast as one that was never pickled.
@@ -69,11 +70,11 @@ import pickle
 import re
 import struct
 import sys
-import warnings
 from array import array
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping
 
+from ..engine.fork import ChildFailed, run_in_child
 from ..engine.journal import RunJournal, fsync_directory, write_journal
 from ..errors import JournalError
 from .core import ServiceConfig, ServiceCore, TickSample
@@ -249,36 +250,11 @@ def write_snapshot(core: ServiceCore, temp: Path, final: Path) -> str:
 
 def _write_snapshot_in_child(core: ServiceCore, temp: Path, final: Path) -> str | None:
     """:func:`write_snapshot` in a forked child; None if it failed."""
-    if not hasattr(os, "fork"):  # pragma: no cover - no fork, no snapshots
-        return None
-    read_fd, write_fd = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12 warns that forking a process with threads may
-        # deadlock the child. This child only pickles, writes and leaves
-        # through os._exit.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:  # pragma: no cover - runs in the child
-        status = 1
-        try:
-            os.close(read_fd)
-            digest = write_snapshot(core, temp, final)
-            os.write(write_fd, digest.encode())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
     try:
-        digest = b""
-        while chunk := os.read(read_fd, 128):
-            digest += chunk
-    finally:
-        os.close(read_fd)
-    _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
+        return run_in_child(write_snapshot, core, temp, final)
+    except ChildFailed:
         temp.unlink(missing_ok=True)
         return None
-    return digest.decode()
 
 
 def read_snapshot(path: Path) -> object:
