@@ -94,6 +94,14 @@ def _integer(text: str, name: str) -> int:
         raise _HttpError(400, f"{name} must be an integer, got {text!r}") from None
 
 
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One line from ``reader``; one past the reader's limit is a ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(status, f"{what} is too long") from None
+
+
 @dataclasses.dataclass
 class _Request:
     method: str
@@ -292,7 +300,7 @@ class ServiceServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
-        line = await reader.readline()
+        line = await _read_line(reader, 414, "request line")
         if not line:
             return None
         try:
@@ -301,7 +309,7 @@ class ServiceServer:
             raise _HttpError(400, "malformed request line") from None
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await _read_line(reader, 431, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
@@ -311,8 +319,16 @@ class ServiceServer:
             raise _HttpError(400, "Content-Length must be non-negative")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
-        split = urlsplit(target)
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as error:
+            raise _HttpError(
+                400, f"body ended after {len(error.partial)} of {length} bytes"
+            ) from None
+        try:
+            split = urlsplit(target)
+        except ValueError as error:
+            raise _HttpError(400, f"malformed request target: {error}") from None
         return _Request(
             method=method.upper(),
             path=split.path,
@@ -329,6 +345,7 @@ class ServiceServer:
     ) -> bool:
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed", 413: "Payload Too Large",
+                  414: "URI Too Long", 431: "Request Header Fields Too Large",
                   503: "Service Unavailable"}.get(status, "OK")
         body = _json_bytes(payload)
         head = (
@@ -406,8 +423,8 @@ class ServiceServer:
                 raise _HttpError(405, "ops is POST-only")
             try:
                 op = json.loads(request.body.decode() or "{}")
-            except json.JSONDecodeError as error:
-                raise _HttpError(400, f"op body is not JSON: {error}") from None
+            except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                raise _HttpError(400, f"op body is not UTF-8 JSON: {error}") from None
             if not isinstance(op, Mapping):
                 raise _HttpError(400, "op body must be a JSON object")
             try:

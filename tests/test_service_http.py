@@ -258,6 +258,14 @@ MALFORMED_REQUESTS = {
     "negative-length": (b"POST /ops HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
     "non-integer-since": (b"GET /metrics?since=abc HTTP/1.1\r\n\r\n", 400),
     "non-integer-ticks": (b"GET /stream?ticks=x HTTP/1.1\r\n\r\n", 400),
+    "non-utf8-body": (b"POST /ops HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe", 400),
+    "unsplittable-target": (b"GET http://[::1/metrics HTTP/1.1\r\n\r\n", 400),
+    "body-shorter-than-length": (b"POST /ops HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400),
+    "long-request-line": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    "long-header-line": (
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        431,
+    ),
 }
 
 
@@ -273,6 +281,7 @@ class TestMalformedRequests:
                 await _wait_ready(server)
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(raw)
+                writer.write_eof()
                 await writer.drain()
                 status_line = await asyncio.wait_for(reader.readline(), 5.0)
                 writer.close()
